@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <memory>
+
 #include "bench_common.h"
 #include "codegen/csl_emitter.h"
 #include "dialects/all.h"
@@ -152,76 +155,76 @@ void
 BM_ShardedTimestep2D(benchmark::State &state)
 {
     // The paper-scale trajectory bench: a 96x96 acoustic grid under
-    // different shard tilings and scheduler policies. Args:
-    // (rows, cols, threads, adaptive). Row 0/0 encodes the sequential
-    // baseline. Results are bit-identical across every row (pinned by
-    // ShardedScale.Acoustic96Grid); on a 1-core container the parallel
-    // rows mainly price the window/steal machinery, and the adaptive
-    // rows show the barrier-collapse win.
+    // different shard tilings. Args: (rows, cols, threads); row 0/0
+    // encodes the sequential baseline. Results are bit-identical across
+    // every row (pinned by ShardedScale.Acoustic96Grid). The timed
+    // region is the run phase only (launch + run): simulator
+    // construction, configure() and teardown are serial and excluded,
+    // with construction + configure reported as the setup_ms counter.
+    using Clock = std::chrono::steady_clock;
     const int rows = static_cast<int>(state.range(0));
     const int cols = static_cast<int>(state.range(1));
     const int threads = static_cast<int>(state.range(2));
-    const bool adaptive = state.range(3) != 0;
     fe::Benchmark bench = fe::makeAcoustic(96, 96, 2, 8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
     uint64_t windows = 0;
+    double setupMs = 0.0;
     for (auto _ : state) {
+        state.PauseTiming();
+        Clock::time_point start = Clock::now();
         wse::SimOptions options{threads};
         options.shardGrid = {rows, cols};
-        options.adaptiveWindow = adaptive;
-        wse::Simulator sim(wse::ArchParams::wse3(), 96, 96, options);
-        interp::CslProgramInstance instance(sim, module.get());
+        auto sim = std::make_unique<wse::Simulator>(wse::ArchParams::wse3(),
+                                                    96, 96, options);
+        auto instance = std::make_unique<interp::CslProgramInstance>(
+            *sim, module.get());
         auto init = bench.init;
-        instance.setFieldInit("p", [init](int x, int y, int z) {
+        instance->setFieldInit("p", [init](int x, int y, int z) {
             return init(0, x, y, z);
         });
-        instance.configure();
-        instance.launch();
-        sim.run(4000000000ULL);
-        benchmark::DoNotOptimize(sim.now());
-        windows = sim.telemetry().windows;
+        instance->configure();
+        setupMs += std::chrono::duration<double, std::milli>(Clock::now() -
+                                                             start)
+                       .count();
+        state.ResumeTiming();
+
+        instance->launch();
+        sim->run(4000000000ULL);
+        benchmark::DoNotOptimize(sim->now());
+
+        state.PauseTiming();
+        windows = sim->telemetry().windows;
+        instance.reset();
+        sim.reset();
+        state.ResumeTiming();
     }
     state.SetLabel(rows == 0 ? "acoustic 96x96 sequential"
                              : "acoustic 96x96 tiled");
     state.counters["shard_rows"] = rows;
     state.counters["shard_cols"] = cols;
     state.counters["sim_threads"] = threads;
-    state.counters["adaptive"] = adaptive ? 1 : 0;
     state.counters["windows"] = static_cast<double>(windows);
+    state.counters["setup_ms"] =
+        benchmark::Counter(setupMs, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ShardedTimestep2D)
-    ->Args({0, 0, 1, 1})  // sequential baseline
-    ->Args({1, 4, 4, 1})  // 1-D strips
-    ->Args({2, 2, 4, 1})  // square tiles
-    ->Args({2, 2, 4, 0})  // square tiles, fixed one-hop windows
-    ->Args({4, 4, 4, 1})  // over-decomposed: stealing active
+    ->Args({0, 0, 1}) // sequential baseline
+    ->Args({1, 4, 4}) // 1-D strips
+    ->Args({2, 2, 4}) // square tiles
+    ->Args({4, 4, 4}) // over-decomposed: four tiles per worker
     ->Unit(benchmark::kMillisecond);
 
 void
 BM_InterpDispatch(benchmark::State &state)
 {
     // Interpreter dispatch microbench: one simulated workload executed
-    // through each execution tier, so the reference / switch / threaded
-    // / fused deltas are visible in isolation (the simulated results
-    // are bit-identical across all rows — see the InterpTiers suite).
-    struct Mode
-    {
-        const char *label;
-        bool reference;
-        interp::DispatchKind dispatch;
-        bool fuse;
-    };
-    static const Mode kModes[] = {
-        {"reference", true, interp::DispatchKind::Auto, false},
-        {"switch", false, interp::DispatchKind::Switch, false},
-        {"switch+fused", false, interp::DispatchKind::Switch, true},
-        {"threaded", false, interp::DispatchKind::Threaded, false},
-        {"threaded+fused", false, interp::DispatchKind::Threaded, true},
-    };
-    const Mode &mode = kModes[state.range(0)];
+    // through the reference tree-walker (arg 0) and the compiled
+    // dispatch loop (arg 1). The simulated results are bit-identical
+    // (see the InterpTiers suite); only host time differs.
+    const bool reference = state.range(0) == 0;
     fe::Benchmark bench = fe::makeJacobian(7, 7, 64, 64);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -230,11 +233,7 @@ BM_InterpDispatch(benchmark::State &state)
     for (auto _ : state) {
         wse::Simulator sim(wse::ArchParams::wse3(), 7, 7);
         interp::CslProgramInstance instance(sim, module.get());
-        instance.setReferenceMode(mode.reference);
-        interp::InterpTuning tuning;
-        tuning.dispatch = mode.dispatch;
-        tuning.fuse = mode.fuse;
-        instance.setTuning(tuning);
+        instance.setReferenceMode(reference);
         auto init = bench.init;
         instance.setFieldInit("a", [init](int x, int y, int z) {
             return init(0, x, y, z);
@@ -244,10 +243,10 @@ BM_InterpDispatch(benchmark::State &state)
         sim.run(4000000000ULL);
         benchmark::DoNotOptimize(sim.now());
     }
-    state.SetLabel(mode.label);
+    state.SetLabel(reference ? "reference" : "compiled");
 }
 BENCHMARK(BM_InterpDispatch)
-    ->DenseRange(0, 4)
+    ->DenseRange(0, 1)
     ->Unit(benchmark::kMillisecond);
 
 void

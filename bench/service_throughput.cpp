@@ -1,5 +1,6 @@
 /**
- * Compile-service throughput bench (BENCH_pr8.json).
+ * Compile-service throughput bench (JSON artifact; the committed
+ * baseline is BENCH_pr8.json at the repository root).
  *
  * Drives wsc::service::CompileService with the five paper workloads at
  * several worker counts and reports requests/sec plus p50/p99 service
@@ -111,7 +112,7 @@ runScenario(Scenario &s)
 int
 main(int argc, char **argv)
 {
-    const char *outPath = argc > 1 ? argv[1] : "BENCH_pr8.json";
+    const char *outPath = argc > 1 ? argv[1] : "BENCH_service.json";
     int requests = argc > 2 ? std::atoi(argv[2]) : 200;
 
     std::vector<Scenario> scenarios = {

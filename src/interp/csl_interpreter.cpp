@@ -1,27 +1,11 @@
 #include "interp/csl_interpreter.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <set>
 
 #include "dialects/arith.h"
 #include "dialects/csl.h"
 #include "dialects/scf.h"
-#include "support/env.h"
 #include "support/error.h"
-
-// Tier-1 dispatch: token-threaded computed goto where the compiler has
-// it, with the portable switch loop as the build-time fallback (also
-// run-time selectable via WSC_INTERP_DISPATCH=switch). Define
-// WSC_INTERP_NO_COMPUTED_GOTO to force the fallback on a GNU-compatible
-// compiler (the CMake option WSC_INTERP_FORCE_SWITCH does this).
-#if (defined(__GNUC__) || defined(__clang__)) &&                        \
-    !defined(WSC_INTERP_NO_COMPUTED_GOTO)
-#define WSC_HAVE_COMPUTED_GOTO 1
-#else
-#define WSC_HAVE_COMPUTED_GOTO 0
-#endif
 
 namespace wsc::interp {
 
@@ -46,35 +30,6 @@ findProgramModule(ir::Operation *root)
     return program;
 }
 
-/**
- * The superinstruction table (tier 2): adjacent (first, second) pairs
- * the fusion pass may collapse. Whether a rule is applied is decided at
- * configure() time — all of them by default, or only the pairs present
- * in a WSC_INTERP_PROFILE dump (the PGO loop). The operand-matching
- * condition lives in ruleMatches() inside fuseBodies().
- */
-struct FusionRule
-{
-    Opcode first;
-    Opcode second;
-    Opcode fused;
-};
-
-constexpr FusionRule kFusionRules[] = {
-    {Opcode::Cmp, Opcode::If, Opcode::FusedCmpIf},
-    {Opcode::GetMemDsd, Opcode::IncrementDsdOffset,
-     Opcode::FusedGetMemDsdInc},
-    {Opcode::IncrementDsdOffset, Opcode::SetDsdLength,
-     Opcode::FusedIncDsdSetLen},
-    {Opcode::LoadScalar, Opcode::Fmacs, Opcode::FusedLoadScalarFmacs},
-    {Opcode::Constant, Opcode::StoreScalar,
-     Opcode::FusedConstStoreScalar},
-    {Opcode::Add, Opcode::StoreScalar, Opcode::FusedAddStoreScalar},
-};
-
-constexpr size_t kNumFusionRules =
-    sizeof(kFusionRules) / sizeof(kFusionRules[0]);
-
 } // namespace
 
 CslProgramInstance::CslProgramInstance(wse::Simulator &sim,
@@ -83,25 +38,6 @@ CslProgramInstance::CslProgramInstance(wse::Simulator &sim,
 {
     peEnvs_.resize(static_cast<size_t>(sim.width()) * sim.height());
     stepMarks_.resize(peEnvs_.size());
-}
-
-CslProgramInstance::~CslProgramInstance()
-{
-    if (!profile_)
-        return;
-    // Programmatic collectors read profile() themselves; the teardown
-    // report and the PGO artifact are the env-driven paths.
-    if (envFlag("WSC_INTERP_STATS"))
-        profile_->dump(std::cerr);
-    std::string path = envStr("WSC_INTERP_PROFILE_OUT");
-    if (!path.empty()) {
-        std::ofstream os(path);
-        if (os)
-            profile_->writeProfile(os);
-        else
-            std::cerr << "wsc: cannot write interpreter profile `"
-                      << path << "`\n";
-    }
 }
 
 void
@@ -116,37 +52,6 @@ CslProgramInstance::setReferenceMode(bool on)
 {
     WSC_ASSERT(!configured_, "setReferenceMode after configure");
     referenceMode_ = on;
-}
-
-void
-CslProgramInstance::setTuning(const InterpTuning &tuning)
-{
-    WSC_ASSERT(!configured_, "setTuning after configure");
-    tuning_ = tuning;
-}
-
-bool
-CslProgramInstance::threadedDispatchAvailable()
-{
-    return WSC_HAVE_COMPUTED_GOTO != 0;
-}
-
-const char *
-CslProgramInstance::resolvedDispatch() const
-{
-    if (!configured_)
-        return "";
-    if (referenceMode_)
-        return "reference";
-    switch (variant_) {
-    case ExecVariant::Threaded:
-        return "threaded";
-    case ExecVariant::Switch:
-        return "switch";
-    case ExecVariant::Counting:
-        return "counting";
-    }
-    return "";
 }
 
 bool
@@ -447,115 +352,13 @@ CslProgramInstance::compileProgram()
     Compiler compiler(*this);
     for (const auto &[name, op] : callables_)
         compiler.compileCallable(name, op);
-    fuseBodies();
     sealBodies();
-}
-
-void
-CslProgramInstance::fuseBodies()
-{
-    if (enabledRules_.empty())
-        return;
-
-    // Operand condition: the pair only fuses when the second half
-    // consumes the first half's result (the fused handlers hard-wire
-    // that dataflow). The result slot is still written, so any later
-    // reader of the intermediate value stays correct.
-    auto ruleMatches = [](const Instr &f, const Instr &s,
-                          const FusionRule &r) {
-        if (f.op != r.first || s.op != r.second)
-            return false;
-        if (r.fused == Opcode::FusedLoadScalarFmacs)
-            return s.d == f.dst; // fmacs scalar operand
-        return s.a == f.dst;
-    };
-
-    auto buildFused = [](const Instr &f, const Instr &s, Opcode op) {
-        Instr x;
-        x.op = op;
-        switch (op) {
-        case Opcode::FusedCmpIf:
-            x.pred = f.pred;
-            x.a = f.a;
-            x.b = f.b;
-            x.dst = f.dst;
-            x.body0 = s.body0;
-            x.body1 = s.body1;
-            break;
-        case Opcode::FusedConstStoreScalar:
-            x.dst = f.dst;
-            x.imm = f.imm;
-            x.var = s.var;
-            break;
-        case Opcode::FusedAddStoreScalar:
-            x.a = f.a;
-            x.b = f.b;
-            x.dst = f.dst;
-            x.var = s.var;
-            break;
-        case Opcode::FusedLoadScalarFmacs:
-            x.var = f.var;
-            x.dst = f.dst;
-            x.a = s.a;
-            x.b = s.b;
-            x.c = s.c;
-            break;
-        case Opcode::FusedIncDsdSetLen:
-            x.a = f.a;
-            x.b = f.b;
-            x.dst = f.dst;
-            x.c = s.b;
-            x.d = s.dst;
-            break;
-        case Opcode::FusedGetMemDsdInc:
-            x.var = f.var;
-            x.dst = f.dst;
-            x.offset = f.offset;
-            x.length = f.length;
-            x.stride = f.stride;
-            x.wrap = f.wrap;
-            x.b = s.b;
-            x.c = s.dst;
-            break;
-        default:
-            WSC_ASSERT(false, "not a fused opcode");
-        }
-        return x;
-    };
-
-    // Greedy left-to-right, non-overlapping; rule order is priority
-    // when two rules could claim the same pair.
-    for (CompiledBody &body : bodies_) {
-        std::vector<Instr> out;
-        out.reserve(body.code.size());
-        size_t i = 0;
-        while (i < body.code.size()) {
-            bool fused = false;
-            if (i + 1 < body.code.size()) {
-                for (uint8_t ri : enabledRules_) {
-                    const FusionRule &r = kFusionRules[ri];
-                    if (ruleMatches(body.code[i], body.code[i + 1], r)) {
-                        out.push_back(
-                            buildFused(body.code[i], body.code[i + 1],
-                                       r.fused));
-                        fusedCount_++;
-                        i += 2;
-                        fused = true;
-                        break;
-                    }
-                }
-            }
-            if (!fused)
-                out.push_back(body.code[i++]);
-        }
-        body.code = std::move(out);
-    }
 }
 
 void
 CslProgramInstance::sealBodies()
 {
-    // Fall-through dispatch never bounds-checks: every body ends in an
+    // The dispatch loop never bounds-checks: every body ends in an
     // explicit Return. Return's semantics are identical to falling off
     // the end, so sealing is bit-exact (and covers empty scf.if arms).
     Instr ret;
@@ -594,68 +397,6 @@ CslProgramInstance::configure()
                                    "unblock_cmd_stream not reached",
                                    0, false});
     });
-
-    // --- Execution-tier resolution ---------------------------------------
-    // Environment overrides the programmatic tuning; the counting
-    // variant (stats) trumps the dispatch choice since it is its own
-    // loop. Resolved before compileProgram() so the fusion pass sees
-    // the final rule set.
-    if (!referenceMode_) {
-        if (const char *d = std::getenv("WSC_INTERP_DISPATCH")) {
-            std::string s = d;
-            if (s == "switch")
-                tuning_.dispatch = DispatchKind::Switch;
-            else if (s == "threaded")
-                tuning_.dispatch = DispatchKind::Threaded;
-            else if (!s.empty())
-                std::cerr << "wsc: unknown WSC_INTERP_DISPATCH `" << s
-                          << "` (threaded|switch); ignored\n";
-        }
-        if (envFlag("WSC_INTERP_NO_FUSE"))
-            tuning_.fuse = false;
-        if (envFlag("WSC_INTERP_STATS"))
-            tuning_.collectStats = true;
-        if (std::string p = envStr("WSC_INTERP_PROFILE"); !p.empty())
-            tuning_.profilePath = p;
-
-        variant_ = tuning_.collectStats ? ExecVariant::Counting
-                   : tuning_.dispatch != DispatchKind::Switch &&
-                           threadedDispatchAvailable()
-                       ? ExecVariant::Threaded
-                       : ExecVariant::Switch;
-        if (tuning_.collectStats)
-            profile_ = std::make_unique<InterpProfile>();
-
-        enabledRules_.clear();
-        if (tuning_.fuse) {
-            std::vector<ProfiledPair> pairs;
-            bool haveProfile = false;
-            if (!tuning_.profilePath.empty()) {
-                std::ifstream is(tuning_.profilePath);
-                if (is && readProfile(is, pairs)) {
-                    haveProfile = true;
-                } else {
-                    std::cerr << "wsc: cannot read interpreter profile `"
-                              << tuning_.profilePath
-                              << "`; using the built-in fusion table\n";
-                }
-            }
-            for (uint8_t i = 0; i < kNumFusionRules; ++i) {
-                if (!haveProfile) {
-                    enabledRules_.push_back(i);
-                    continue;
-                }
-                // PGO: enable exactly the pairs the profile saw.
-                for (const ProfiledPair &p : pairs) {
-                    if (p.first == kFusionRules[i].first &&
-                        p.second == kFusionRules[i].second) {
-                        enabledRules_.push_back(i);
-                        break;
-                    }
-                }
-            }
-        }
-    }
 
     // --- Collect module structure ---------------------------------------
     std::vector<ir::Operation *> commsOps;
@@ -914,11 +655,11 @@ CslProgramInstance::configure()
 void
 CslProgramInstance::resolveColdChecks(wse::Pe &pe, PeRt &rt)
 {
-    // Tier 3, part 1: cache every buffer's data vector. Pe stores
-    // buffer slots in a deque, so the pointers are stable for the run.
-    // A variable with no live buffer travels as nullptr and panics on
-    // first element access (Dsd::at) — the same program point the
-    // per-access guard used to fire at, one instruction later.
+    // Cache every buffer's data vector. Pe stores buffer slots in a
+    // deque, so the pointers are stable for the run. A variable with no
+    // live buffer travels as nullptr and panics on first element access
+    // (Dsd::at) — the same program point the per-access guard used to
+    // fire at, one instruction later.
     rt.bufferData.assign(varNames_.size(), nullptr);
     rt.ptrData.assign(varNames_.size(), nullptr);
     for (size_t i = 0; i < varNames_.size(); ++i) {
@@ -928,25 +669,17 @@ CslProgramInstance::resolveColdChecks(wse::Pe &pe, PeRt &rt)
             rt.ptrData[i] = &pe.buffer(rt.ptrTarget[i]);
     }
 
-    // Tier 3, part 2: every scalar-accessing instruction must hold a
-    // valid handle NOW — the handlers use unchecked access and never
-    // fall back to name interning. A scalar op naming a buffer is a
+    // Every scalar-accessing instruction must hold a valid handle NOW —
+    // the handlers use unchecked access and never fall back to name
+    // interning. A scalar op naming a buffer is a
     // type-inconsistent program; diagnose it here, not mid-run.
     for (const CompiledBody &body : bodies_) {
         for (const Instr &ins : body.code) {
-            switch (ins.op) {
-            case Opcode::LoadScalar:
-            case Opcode::StoreScalar:
-            case Opcode::FusedConstStoreScalar:
-            case Opcode::FusedAddStoreScalar:
-            case Opcode::FusedLoadScalarFmacs:
+            if (ins.op == Opcode::LoadScalar ||
+                ins.op == Opcode::StoreScalar)
                 WSC_ASSERT(rt.scalarId[ins.var].valid(),
                            "scalar access to non-scalar variable `"
                                << varNames_[ins.var] << "`");
-                break;
-            default:
-                break;
-            }
         }
     }
 }
@@ -1019,129 +752,182 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
                                  PeEnv &peEnv, PeRt &peRt,
                                  wse::TaskContext &ctx)
 {
-    // One predictable branch per task activation / csl.call; nested
-    // scf.if recursion stays inside the selected variant.
-    switch (variant_) {
-    case ExecVariant::Threaded:
-        execThreaded(bodyIdx, slots, peEnv, peRt, ctx);
-        break;
-    case ExecVariant::Switch:
-        execSwitch(bodyIdx, slots, peEnv, peRt, ctx);
-        break;
-    case ExecVariant::Counting:
-        execCounting(bodyIdx, slots, peEnv, peRt, ctx);
-        break;
-    }
-}
-
-#if WSC_HAVE_COMPUTED_GOTO
-
-void
-CslProgramInstance::execThreaded(int bodyIdx,
-                                 std::vector<RtValue> &slots,
-                                 PeEnv &peEnv, PeRt &peRt,
-                                 wse::TaskContext &ctx)
-{
+    // Operand slots, scalar handles and buffer data pointers were
+    // validated/resolved at configure() (resolveColdChecks), so handlers
+    // perform no name lookups and no validity checks. Buffer/Ptr-kind
+    // values carry their data pointer in dsd.buf, so StorePtr keeps the
+    // ptrTarget/ptrData pair in lock step without a handle lookup; a
+    // missing buffer travels as nullptr and panics on first element
+    // access (Dsd::at), not here.
     wse::Pe &pe = ctx.pe();
-    const Instr *pc = bodies_[bodyIdx].code.data();
-    // Token-threaded dispatch: the opcode IS the index into a label
-    // table, and every handler jumps straight to the next handler — one
-    // indirect branch per instruction, no loop head, and a per-opcode
-    // branch target the predictor can learn pairwise patterns from.
-    static const void *const kDispatch[] = {
-#define WSC_INTERP_LABEL_ADDR(name) &&L_##name,
-        WSC_INTERP_OPCODE_LIST(WSC_INTERP_LABEL_ADDR)
-#undef WSC_INTERP_LABEL_ADDR
+    auto setNum = [&slots](int32_t dst, double num) {
+        RtValue &v = slots[dst];
+        v.kind = RtValue::Kind::Num;
+        v.num = num;
     };
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                  kNumOpcodes);
-    goto *kDispatch[static_cast<size_t>(pc->op)];
+    auto setRef = [&slots](int32_t dst, RtValue::Kind kind,
+                           wse::BufferId buf, std::vector<float> *data) {
+        RtValue &v = slots[dst];
+        v.kind = kind;
+        v.buf = buf;
+        v.dsd.buf = data;
+    };
+    auto setMemDsd = [&](const Instr &ins, wse::BufferId buf,
+                         std::vector<float> *data) {
+        setRef(ins.dst, RtValue::Kind::DsdVal, buf, data);
+        wse::Dsd &dsd = slots[ins.dst].dsd;
+        dsd.offset = ins.offset;
+        dsd.length = ins.length;
+        dsd.stride = ins.stride;
+        dsd.wrap = ins.wrap;
+        ctx.consume(2); // DSD configuration is cheap but not free.
+    };
 
-#define WSC_CASE(name)                                                  \
-    L_##name : {                                                        \
-        const Instr &ins = *pc;                                         \
-        (void)ins;
-#define WSC_NEXT()                                                      \
-    ++pc;                                                               \
-    goto *kDispatch[static_cast<size_t>(pc->op)];                       \
-    }
-#define WSC_IF_RECURSE(body) execThreaded(body, slots, peEnv, peRt, ctx)
-#include "interp/csl_exec_handlers.inc"
-#undef WSC_CASE
-#undef WSC_NEXT
-#undef WSC_IF_RECURSE
-}
-
-#else // !WSC_HAVE_COMPUTED_GOTO
-
-void
-CslProgramInstance::execThreaded(int bodyIdx,
-                                 std::vector<RtValue> &slots,
-                                 PeEnv &peEnv, PeRt &peRt,
-                                 wse::TaskContext &ctx)
-{
-    // This build has no computed goto; the portable loop is the tier.
-    execSwitch(bodyIdx, slots, peEnv, peRt, ctx);
-}
-
-#endif // WSC_HAVE_COMPUTED_GOTO
-
-void
-CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
-                               PeEnv &peEnv, PeRt &peRt,
-                               wse::TaskContext &ctx)
-{
-    wse::Pe &pe = ctx.pe();
-    const Instr *pc = bodies_[bodyIdx].code.data();
-    for (;;) {
-        switch (pc->op) {
-#define WSC_CASE(name)                                                  \
-    case Opcode::name: {                                                \
-        const Instr &ins = *pc;                                         \
-        (void)ins;
-#define WSC_NEXT()                                                      \
-    ++pc;                                                               \
-    }                                                                   \
-    break;
-#define WSC_IF_RECURSE(body) execSwitch(body, slots, peEnv, peRt, ctx)
-#include "interp/csl_exec_handlers.inc"
-#undef WSC_CASE
-#undef WSC_NEXT
-#undef WSC_IF_RECURSE
+    // Every body ends in a Return sentinel (sealBodies), the only exit.
+    for (const Instr *pc = bodies_[bodyIdx].code.data();; ++pc) {
+        const Instr &ins = *pc;
+        switch (ins.op) {
+        case Opcode::Constant:
+            setNum(ins.dst, ins.imm);
+            break;
+        case Opcode::Add:
+            setNum(ins.dst, slots[ins.a].num + slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        case Opcode::Sub:
+            setNum(ins.dst, slots[ins.a].num - slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        case Opcode::Mul:
+            setNum(ins.dst, slots[ins.a].num * slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        case Opcode::Div:
+            setNum(ins.dst, slots[ins.a].num / slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        case Opcode::Cmp: {
+            double a = slots[ins.a].num;
+            double b = slots[ins.b].num;
+            bool r = ins.pred == CmpPred::Lt   ? a < b
+                     : ins.pred == CmpPred::Le ? a <= b
+                     : ins.pred == CmpPred::Gt ? a > b
+                     : ins.pred == CmpPred::Ge ? a >= b
+                     : ins.pred == CmpPred::Eq ? a == b
+                                               : a != b;
+            setNum(ins.dst, r ? 1.0 : 0.0);
+            ctx.consume(1);
+            break;
         }
-    }
-}
-
-void
-CslProgramInstance::execCounting(int bodyIdx,
-                                 std::vector<RtValue> &slots,
-                                 PeEnv &peEnv, PeRt &peRt,
-                                 wse::TaskContext &ctx)
-{
-    // The stats variant: the switch loop plus an opcode/pair counter at
-    // the loop head. `prev` is per-invocation, so pairs are intra-body
-    // static adjacencies — exactly what the fusion pass can act on.
-    wse::Pe &pe = ctx.pe();
-    const Instr *pc = bodies_[bodyIdx].code.data();
-    InterpProfile &prof = *profile_;
-    uint8_t prev = InterpProfile::kNoPrev;
-    for (;;) {
-        prof.note(prev, pc->op);
-        prev = static_cast<uint8_t>(pc->op);
-        switch (pc->op) {
-#define WSC_CASE(name)                                                  \
-    case Opcode::name: {                                                \
-        const Instr &ins = *pc;                                         \
-        (void)ins;
-#define WSC_NEXT()                                                      \
-    ++pc;                                                               \
-    }                                                                   \
-    break;
-#define WSC_IF_RECURSE(body) execCounting(body, slots, peEnv, peRt, ctx)
-#include "interp/csl_exec_handlers.inc"
-#undef WSC_CASE
-#undef WSC_NEXT
-#undef WSC_IF_RECURSE
+        case Opcode::If: {
+            ctx.consume(1);
+            int branch = slots[ins.a].num != 0.0 ? ins.body0 : ins.body1;
+            if (branch >= 0)
+                execCompiled(branch, slots, peEnv, peRt, ctx);
+            break;
+        }
+        case Opcode::Return:
+            return;
+        case Opcode::LoadScalar:
+            setNum(ins.dst, pe.scalarUnchecked(peRt.scalarId[ins.var]));
+            ctx.consume(1);
+            break;
+        case Opcode::LoadBuffer:
+            setRef(ins.dst, RtValue::Kind::Buffer, peRt.bufferId[ins.var],
+                   peRt.bufferData[ins.var]);
+            ctx.consume(1);
+            break;
+        case Opcode::LoadBufferViaPtr:
+            setRef(ins.dst, RtValue::Kind::Buffer, peRt.ptrTarget[ins.var],
+                   peRt.ptrData[ins.var]);
+            ctx.consume(1);
+            break;
+        case Opcode::LoadPtr:
+            setRef(ins.dst, RtValue::Kind::Ptr, peRt.ptrTarget[ins.var],
+                   peRt.ptrData[ins.var]);
+            ctx.consume(1);
+            break;
+        case Opcode::StoreScalar:
+            pe.scalarUnchecked(peRt.scalarId[ins.var]) = slots[ins.a].num;
+            ctx.consume(1);
+            break;
+        case Opcode::StorePtr:
+            peRt.ptrTarget[ins.var] = slots[ins.a].buf;
+            peRt.ptrData[ins.var] = slots[ins.a].dsd.buf;
+            ctx.consume(1);
+            break;
+        case Opcode::AddressOf:
+            setRef(ins.dst, RtValue::Kind::Ptr, peRt.bufferId[ins.var],
+                   peRt.bufferData[ins.var]);
+            break;
+        case Opcode::GetMemDsd:
+            setMemDsd(ins, peRt.bufferId[ins.var], peRt.bufferData[ins.var]);
+            break;
+        case Opcode::GetMemDsdViaPtr:
+            setMemDsd(ins, peRt.ptrTarget[ins.var], peRt.ptrData[ins.var]);
+            break;
+        case Opcode::IncrementDsdOffset: {
+            RtValue &v = slots[ins.dst];
+            v = slots[ins.a];
+            v.dsd.offset += static_cast<int64_t>(slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        }
+        case Opcode::SetDsdLength: {
+            RtValue &v = slots[ins.dst];
+            v = slots[ins.a];
+            v.dsd.length = static_cast<int64_t>(slots[ins.b].num);
+            ctx.consume(1);
+            break;
+        }
+        case Opcode::Fadds:
+            wse::fadds(ctx, slots[ins.a].dsd, asDsdOperand(slots[ins.b]),
+                       asDsdOperand(slots[ins.c]));
+            break;
+        case Opcode::Fsubs:
+            wse::fsubs(ctx, slots[ins.a].dsd, asDsdOperand(slots[ins.b]),
+                       asDsdOperand(slots[ins.c]));
+            break;
+        case Opcode::Fmuls:
+            wse::fmuls(ctx, slots[ins.a].dsd, asDsdOperand(slots[ins.b]),
+                       asDsdOperand(slots[ins.c]));
+            break;
+        case Opcode::Fmovs:
+            wse::fmovs(ctx, slots[ins.a].dsd, asDsdOperand(slots[ins.b]));
+            break;
+        case Opcode::Fmacs:
+            wse::fmacs(ctx, slots[ins.a].dsd, asDsdOperand(slots[ins.b]),
+                       asDsdOperand(slots[ins.c]),
+                       static_cast<float>(slots[ins.d].num));
+            break;
+        case Opcode::Call:
+            WSC_ASSERT(ins.body0 >= 0, "call of unknown symbol " << *ins.str);
+            runCompiledCallable(ins.body0, peEnv, peRt, ctx);
+            ctx.consume(2);
+            break;
+        case Opcode::Activate:
+            pe.activate(peRt.taskId[ins.task], ctx.currentCycle());
+            ctx.consume(2);
+            break;
+        case Opcode::CommsExchange: {
+            const RtValue &send = slots[ins.a];
+            WSC_ASSERT(send.kind == RtValue::Kind::DsdVal,
+                       "comms_exchange expects a DSD operand");
+            comms_[ins.site]->exchange(ctx, send.buf, peRt.commRecv[ins.site],
+                                       peRt.commDone[ins.site]);
+            ctx.consume(4);
+            break;
+        }
+        case Opcode::UnblockCmdStream:
+            unblockCount_.fetch_add(1, std::memory_order_relaxed);
+            peUnblocked_[pe.id()] = 1;
+            break;
+        case Opcode::Nop:
+            break;
+        case Opcode::Unsupported:
+            // Lazy by design: an unknown op only errors if actually
+            // executed (matching the reference evaluator).
+            panic("csl interpreter: unsupported op " + *ins.str);
         }
     }
 }

@@ -7,35 +7,20 @@
  * generated program structure (tasks, callbacks, DSD builtins, chunked
  * exchanges) is what gets measured.
  *
- * Execution is tiered (docs/architecture.md §8). configure() compiles
- * every callable body once into a flat vector of opcode + operand-slot
+ * Execution (docs/architecture.md §8): configure() compiles every
+ * callable body once into a flat vector of opcode + operand-slot
  * instructions (SSA values become dense slot indices, attributes and
- * comms specs are resolved up front), then:
- *
- *  - Tier 1 — dispatch. The per-PE hot loop is token-threaded
- *    (computed goto, one indirect branch per handler) on GCC/Clang; a
- *    portable switch loop is the build-time fallback and stays
- *    selectable at run time (`WSC_INTERP_DISPATCH=switch`). Both are
- *    generated from one handler definition file
- *    (csl_exec_handlers.inc), so they cannot diverge.
- *  - Tier 2 — superinstructions. A configure-time pass fuses hot
- *    adjacent opcode pairs (e.g. Cmp+If, LoadScalar+Fmacs) into single
- *    fused instructions with pre-combined operands. The pair table is
- *    built in, or selected from an opcode-pair profile captured on a
- *    prior run (`WSC_INTERP_STATS=1` + `WSC_INTERP_PROFILE_OUT`, fed
- *    back through `WSC_INTERP_PROFILE` — the PGO loop).
- *    `WSC_INTERP_NO_FUSE=1` disables fusion.
- *  - Tier 3 — pre-resolved cold checks. Scalar handles are validated
- *    and buffer data pointers cached per PE at configure() time, so
- *    the hot handlers perform no validity checks or name lookups.
+ * comms specs are resolved up front), validates scalar handles and
+ * caches buffer data pointers per PE, so the single switch dispatch
+ * loop performs no name lookups or validity checks.
  *
  * The original tree-walking evaluator is kept behind
- * setReferenceMode(true) as the semantic oracle: every tier must match
- * it bit for bit (`ctest -L interp`).
+ * setReferenceMode(true) as the semantic oracle: the compiled loop must
+ * match it bit for bit (`ctest -L interp`).
  */
 
-#ifndef WSC_INTERP_CSL_INTERPRETER_H
-#define WSC_INTERP_CSL_INTERPRETER_H
+#ifndef WSC_CSL_INTERPRETER_H
+#define WSC_CSL_INTERPRETER_H
 
 #include <atomic>
 #include <cstdint>
@@ -48,8 +33,6 @@
 
 #include "comms/star_comm.h"
 #include "dialects/csl.h"
-#include "interp/interp_opcodes.h"
-#include "interp/interp_profile.h"
 #include "ir/operation.h"
 #include "wse/dsd.h"
 #include "wse/simulator.h"
@@ -58,34 +41,6 @@ namespace wsc::interp {
 
 /** Host-side initial condition for one field: value at (x, y, z). */
 using FieldInitFn = std::function<float(int x, int y, int z)>;
-
-/** Dispatch strategy request (resolved at configure()). */
-enum class DispatchKind : uint8_t
-{
-    Auto,     ///< Threaded when compiled in, else the switch loop.
-    Threaded, ///< Token-threaded computed goto (falls back to Switch
-              ///< when the build has no computed-goto support).
-    Switch,   ///< Portable for(;;)+switch loop.
-};
-
-/**
- * Execution-tier knobs, applied at configure(). Environment variables
- * override the programmatic values (they are the field-tuning
- * interface): WSC_INTERP_DISPATCH=threaded|switch, WSC_INTERP_NO_FUSE,
- * WSC_INTERP_STATS, WSC_INTERP_PROFILE (PGO input path).
- */
-struct InterpTuning
-{
-    DispatchKind dispatch = DispatchKind::Auto;
-    /** Run the superinstruction pass (tier 2). */
-    bool fuse = true;
-    /** Collect the opcode/pair profile (selects the counting dispatch
-     *  variant; ~2x slower, bit-identical results). */
-    bool collectStats = false;
-    /** Fusion-pair profile file from a prior stats run; empty selects
-     *  the built-in default pair table. */
-    std::string profilePath;
-};
 
 /** One program instance mapped across the simulated PE grid. */
 class CslProgramInstance
@@ -97,11 +52,6 @@ class CslProgramInstance
      * this instance.
      */
     CslProgramInstance(wse::Simulator &sim, ir::Operation *root);
-
-    /** Dumps the execution profile when stats collection was on (the
-     *  `WSC_INTERP_STATS` teardown report / `WSC_INTERP_PROFILE_OUT`
-     *  artifact). */
-    ~CslProgramInstance();
 
     /** Host data transfer: set a field's initial contents. Must be
      *  called before configure(). */
@@ -115,25 +65,6 @@ class CslProgramInstance
      * oracle for those tests.
      */
     void setReferenceMode(bool on);
-
-    /** Select execution tiers. Must be called before configure();
-     *  environment variables override individual fields there. */
-    void setTuning(const InterpTuning &tuning);
-
-    /** True when this build contains the computed-goto dispatcher. */
-    static bool threadedDispatchAvailable();
-
-    /** The dispatch variant configure() resolved to: "threaded",
-     *  "switch", "counting" or "reference" ("" before configure). */
-    const char *resolvedDispatch() const;
-
-    /** Superinstruction sites the fusion pass created (0 when fusion
-     *  is off — or when nothing matched). */
-    uint32_t fusedCount() const { return fusedCount_; }
-
-    /** The execution profile; non-null only when stats collection was
-     *  enabled at configure(). */
-    const InterpProfile *profile() const { return profile_.get(); }
 
     /** Allocate variables, wire the runtime comms library, register
      *  tasks on every PE. */
@@ -196,6 +127,18 @@ class CslProgramInstance
     /// @name Pre-decoded form
     /// @{
 
+    /** The pre-decoded instruction set; mirrors the csl/arith/scf ops
+     *  the interpreter executes. */
+    enum class Opcode : uint8_t
+    {
+        Constant, Add, Sub, Mul, Div, Cmp, If, Return,
+        LoadScalar, LoadBuffer, LoadBufferViaPtr, LoadPtr,
+        StoreScalar, StorePtr, AddressOf,
+        GetMemDsd, GetMemDsdViaPtr, IncrementDsdOffset, SetDsdLength,
+        Fadds, Fsubs, Fmuls, Fmovs, Fmacs,
+        Call, Activate, CommsExchange, UnblockCmdStream, Nop, Unsupported,
+    };
+
     /** Comparison predicates, pre-decoded from the string attribute. */
     enum class CmpPred : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 
@@ -205,8 +148,7 @@ class CslProgramInstance
         CmpPred pred = CmpPred::Lt;
         /** Result slot; -1 when the op produces nothing. */
         int32_t dst = -1;
-        /** Operand slots (fused opcodes repurpose c/d for the second
-         *  half's operands — see the fusion table). */
+        /** Operand slots. */
         int32_t a = -1, b = -1, c = -1, d = -1;
         /** Constant payload. */
         double imm = 0.0;
@@ -227,7 +169,7 @@ class CslProgramInstance
     struct CompiledBody
     {
         /** Instruction stream; always terminated by a Return sentinel
-         *  so fall-through dispatch never runs off the end. */
+         *  so the dispatch loop never runs off the end. */
         std::vector<Instr> code;
         /** Slot count; meaningful on callable roots only. */
         uint32_t numSlots = 0;
@@ -259,9 +201,9 @@ class CslProgramInstance
 
     /**
      * Per-PE pre-resolved dense handles, built once at configure():
-     * the opcode loop touches no strings, and (tier 3) scalar handles
-     * are pre-validated and buffer data pointers pre-resolved so the
-     * hot handlers carry no per-access checks.
+     * the opcode loop touches no strings, scalar handles are
+     * pre-validated and buffer data pointers pre-resolved, so the hot
+     * handlers carry no per-access checks.
      */
     struct PeRt
     {
@@ -290,26 +232,15 @@ class CslProgramInstance
     class Compiler;
     friend class Compiler;
 
-    /** The dispatch variant resolved at configure(). */
-    enum class ExecVariant : uint8_t { Threaded, Switch, Counting };
-
     void compileProgram();
-    /** Tier 2: collapse enabled adjacent pairs into fused opcodes. */
-    void fuseBodies();
-    /** Append the Return sentinel every dispatch variant relies on. */
+    /** Append the Return sentinel the dispatch loop relies on. */
     void sealBodies();
-    /** Tier 3: validate scalar handles and cache buffer data for one
-     *  PE's dense tables (panics at configure, not mid-run). */
+    /** Validate scalar handles and cache buffer data for one PE's
+     *  dense tables (panics at configure, not mid-run). */
     void resolveColdChecks(wse::Pe &pe, PeRt &rt);
 
-    /** Dispatch-variant front door (selects the resolved variant). */
+    /** The dispatch loop: run one compiled body in `slots`. */
     void execCompiled(int bodyIdx, std::vector<RtValue> &slots,
-                      PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
-    void execSwitch(int bodyIdx, std::vector<RtValue> &slots,
-                    PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
-    void execThreaded(int bodyIdx, std::vector<RtValue> &slots,
-                      PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
-    void execCounting(int bodyIdx, std::vector<RtValue> &slots,
                       PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
     void runCompiledCallable(int bodyIdx, PeEnv &peEnv, PeRt &peRt,
                              wse::TaskContext &ctx);
@@ -349,16 +280,6 @@ class CslProgramInstance
     bool launched_ = false;
     bool referenceMode_ = false;
 
-    /// @name Execution tiers (resolved at configure)
-    /// @{
-    InterpTuning tuning_;
-    ExecVariant variant_ = ExecVariant::Switch;
-    uint32_t fusedCount_ = 0;
-    /** Enabled fusion rules (index into the rule table). */
-    std::vector<uint8_t> enabledRules_;
-    std::unique_ptr<InterpProfile> profile_;
-    /// @}
-
     /// @name Compiled program (shared across PEs)
     /// @{
     /** Intern a variable name into the var table. */
@@ -382,4 +303,4 @@ class CslProgramInstance
 
 } // namespace wsc::interp
 
-#endif // WSC_INTERP_CSL_INTERPRETER_H
+#endif // WSC_CSL_INTERPRETER_H

@@ -9,18 +9,17 @@
 #define WSC_SUPPORT_ENV_H
 
 #include <cstdint>
-#include <string>
 
 namespace wsc {
 
 /** True when env var `name` is set to a non-empty value other than "0". */
 bool envFlag(const char *name);
 
-/** Unsigned value of env var `name`; `fallback` when unset or invalid. */
+/**
+ * Unsigned decimal value of env var `name`; `fallback` when unset,
+ * signed, space-padded, not entirely digits, or out of range.
+ */
 uint64_t envU64(const char *name, uint64_t fallback);
-
-/** String value of env var `name`; empty when unset. */
-std::string envStr(const char *name);
 
 } // namespace wsc
 

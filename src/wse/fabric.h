@@ -11,10 +11,8 @@
  * timeline belong to that router's own PE, every mutation a segment
  * performs is local to the shard tile executing it, and a segment
  * crossing a tile boundary (E/W or N/S) always lies at least one hop
- * latency in the future. Segments advance one grid hop at a time, so an
- * event k hops inside a tile cannot reach a foreign shard for at least
- * k hop latencies — the conservative-window guarantee (fixed and
- * adaptive) the sharded simulator relies on.
+ * latency in the future — the conservative-window guarantee the sharded
+ * simulator relies on.
  *
  * Payloads are carried by reference-counted PayloadRef handles into the
  * sending shard's recycled ring (wse/payload.h): one chunk fanned out in

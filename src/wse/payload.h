@@ -114,9 +114,7 @@ class PayloadRef
 
 /**
  * Per-shard ring of payload slots. acquire() is called only by the
- * worker currently executing the owning shard's window (single
- * consumer — the claim flag gives exactly one worker the shard per
- * window, and the window barrier orders hand-offs between workers);
+ * worker the owning shard is statically assigned to (single consumer);
  * releases may come from any shard that held the final delivery
  * reference (multi-producer).
  */

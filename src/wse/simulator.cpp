@@ -1,6 +1,7 @@
 #include "wse/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <cstdlib>
 #include <exception>
@@ -48,7 +49,6 @@ Shard::Shard(Simulator &sim, int index)
     heap_.reserve(kInitialQueueCapacity);
     slots_.reserve(kInitialQueueCapacity);
     freeSlots_.reserve(kInitialQueueCapacity);
-    constraints_.reserve(kInitialQueueCapacity);
 }
 
 void
@@ -101,44 +101,6 @@ Shard::pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
     }
     heap_.push_back(EventKey{at, ownerCreator, seq, slot});
     siftUp(heap_.size() - 1);
-    if (trackConstraints_) {
-        // Adaptive-window bookkeeping: this event cannot influence any
-        // other shard before `at + boundaryDist(owner) * hop` (owners
-        // beyond the maxWindowHops horizon report 0 and fall under the
-        // global fallback cap instead).
-        Cycles lat = sim_->constraintLat(
-            static_cast<uint32_t>(ownerCreator >> 32));
-        if (lat != 0) {
-            constraints_.push_back(Constraint{at + lat, at});
-            std::push_heap(constraints_.begin(), constraints_.end(),
-                           [](const Constraint &a, const Constraint &b) {
-                               return a.bound > b.bound;
-                           });
-        }
-    }
-}
-
-void
-Shard::purgeConstraints(Cycles before)
-{
-    // Entries whose event already executed (at < the previous window
-    // end) are dead; remove them lazily from the top. Dead entries
-    // deeper in the heap surface at a later barrier — until then they
-    // can only shrink a window (their bound is >= the top's), never
-    // widen one, so laziness is safe.
-    auto later = [](const Constraint &a, const Constraint &b) {
-        return a.bound > b.bound;
-    };
-    while (!constraints_.empty() && constraints_.front().eventAt < before) {
-        std::pop_heap(constraints_.begin(), constraints_.end(), later);
-        constraints_.pop_back();
-    }
-}
-
-Cycles
-Shard::constraintBound() const
-{
-    return constraints_.empty() ? kNoBound : constraints_.front().bound;
 }
 
 void
@@ -220,15 +182,6 @@ Simulator::Simulator(const ArchParams &params, int width, int height,
         tileOfRow_[static_cast<size_t>(y)] = static_cast<int>(
             (static_cast<int64_t>(y) * shardRows_) / height);
 
-    buildConstraintLatencies();
-    const bool adaptiveParallel =
-        numShards > 1 && options_.adaptiveWindow;
-    for (auto &shard : shards_)
-        shard->trackConstraints_ = adaptiveParallel;
-    claimed_ =
-        std::make_unique<std::atomic<bool>[]>(static_cast<size_t>(numShards));
-    workerQueues_.resize(static_cast<size_t>(numWorkers_));
-
     pes_.reserve(numPes_);
     for (int x = 0; x < width; ++x)
         for (int y = 0; y < height; ++y)
@@ -241,11 +194,6 @@ Simulator::Simulator(const ArchParams &params, int width, int height,
 void
 Simulator::resolveSharding()
 {
-    if (options_.maxWindowHops < 1)
-        options_.maxWindowHops = 1;
-    maxWindowLat_ =
-        static_cast<Cycles>(options_.maxWindowHops) * lookahead_;
-
     int rows = options_.shardGrid.rows;
     int cols = options_.shardGrid.cols;
     if (rows > 0 || cols > 0) {
@@ -283,61 +231,6 @@ Simulator::resolveSharding()
     options_.shardGrid = ShardGrid{rows, cols};
     numWorkers_ = std::clamp(options_.threads, 1, rows * cols);
     options_.threads = numWorkers_;
-}
-
-void
-Simulator::buildConstraintLatencies()
-{
-    peConstraintLat_.assign(static_cast<size_t>(numPes_) + 1, 0);
-    if (shardRows_ * shardCols_ == 1)
-        return;
-    const Cycles cap = maxWindowLat_;
-    // Band extents per axis, to measure the distance to the nearest
-    // column/row of a *foreign* tile (only axes that actually have a
-    // foreign neighbour count).
-    auto bandEdges = [](const std::vector<int> &tileOf, int len, int band,
-                        int &lo, int &hi) {
-        lo = 0;
-        hi = len - 1;
-        for (int i = 0; i < len; ++i)
-            if (tileOf[static_cast<size_t>(i)] == band) {
-                lo = i;
-                break;
-            }
-        for (int i = len - 1; i >= 0; --i)
-            if (tileOf[static_cast<size_t>(i)] == band) {
-                hi = i;
-                break;
-            }
-    };
-    for (int x = 0; x < width_; ++x) {
-        int cBand = tileOfCol_[static_cast<size_t>(x)];
-        int cLo, cHi;
-        bandEdges(tileOfCol_, width_, cBand, cLo, cHi);
-        for (int y = 0; y < height_; ++y) {
-            int rBand = tileOfRow_[static_cast<size_t>(y)];
-            int rLo, rHi;
-            bandEdges(tileOfRow_, height_, rBand, rLo, rHi);
-            int64_t dist = INT64_MAX;
-            if (cBand > 0)
-                dist = std::min<int64_t>(dist, x - cLo + 1);
-            if (cBand < shardCols_ - 1)
-                dist = std::min<int64_t>(dist, cHi - x + 1);
-            if (rBand > 0)
-                dist = std::min<int64_t>(dist, y - rLo + 1);
-            if (rBand < shardRows_ - 1)
-                dist = std::min<int64_t>(dist, rHi - y + 1);
-            WSC_ASSERT(dist != INT64_MAX,
-                       "tile without foreign neighbour in a multi-shard "
-                       "grid");
-            Cycles lat = static_cast<Cycles>(dist) * lookahead_;
-            peConstraintLat_[peIndex(x, y)] = lat <= cap ? lat : 0;
-        }
-    }
-    // Host-owned events may drive fabric sends from any grid position,
-    // so they carry the one-hop minimum (exactly the fixed-window
-    // assumption the PR 5 engine already relied on).
-    peConstraintLat_[numPes_] = lookahead_;
 }
 
 void
@@ -419,9 +312,7 @@ Simulator::telemetry() const
 {
     ShardingTelemetry t;
     t.windows = windowCount_;
-    t.windowCycles = windowCycleSum_;
-    t.shardWindowsRun = shardWindowsRun_.load(std::memory_order_relaxed);
-    t.steals = stealCount_.load(std::memory_order_relaxed);
+    t.shardWindowsRun = shardWindowsRun_;
     for (const auto &shard : shards_)
         t.outboxReallocs += shard->outboxReallocs_;
     return t;
@@ -536,32 +427,14 @@ Simulator::runSequential(uint64_t maxEvents)
 void
 Simulator::runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents)
 {
-    auto runShard = [&](uint32_t s) {
+    // Static assignment: this worker is the only thread that ever runs
+    // these shards, so every shard keeps a single consumer for its
+    // payload ring. Idle shards return from runWindow immediately.
+    for (size_t s = static_cast<size_t>(w); s < shards_.size();
+         s += static_cast<size_t>(numWorkers_)) {
         Shard &shard = *shards_[s];
-        // The claim flag makes this worker the shard's exclusive
-        // executor for the window; the TLS context travels with the
-        // shard so schedule sites see the right creator/outbox.
         TlsGuard tls(this, &shard);
-        shardWindowsRun_.fetch_add(1, std::memory_order_relaxed);
         shard.runWindow(windowEnd, maxEvents);
-    };
-    // Own affinity queue first (front to back), then sweep the other
-    // workers' queues back to front — stealing the work its home worker
-    // would reach last. The claim flag arbitrates: whoever wins the
-    // exchange runs the shard-window, everyone else moves on.
-    for (uint32_t s : workerQueues_[static_cast<size_t>(w)])
-        if (claimShard(s))
-            runShard(s);
-    if (!options_.workStealing)
-        return;
-    for (int v = 1; v < numWorkers_; ++v) {
-        const auto &q =
-            workerQueues_[static_cast<size_t>((w + v) % numWorkers_)];
-        for (auto it = q.rbegin(); it != q.rend(); ++it)
-            if (claimShard(*it)) {
-                stealCount_.fetch_add(1, std::memory_order_relaxed);
-                runShard(*it);
-            }
     }
 }
 
@@ -570,7 +443,6 @@ Simulator::runParallel(uint64_t maxEvents)
 {
     for (auto &shard : shards_)
         shard->processed_ = 0;
-    const bool adaptive = options_.adaptiveWindow;
 
     struct Control
     {
@@ -584,10 +456,9 @@ Simulator::runParallel(uint64_t maxEvents)
 
     // Runs on exactly one thread while every worker is parked in the
     // barrier: drains the cross-shard mailboxes, accounts the event
-    // budget, picks the next conservative window and deals the active
-    // shards onto the workers' claim queues. The body must not leak an
-    // exception (std::terminate inside a barrier completion), so a
-    // throwing drain — e.g. a schedule-into-the-past panic — is
+    // budget and picks the next conservative window. The body must not
+    // leak an exception (std::terminate inside a barrier completion), so
+    // a throwing drain — e.g. a schedule-into-the-past panic — is
     // converted into the same firstError/done shutdown a throwing
     // worker takes.
     auto atBarrier = [&]() noexcept {
@@ -628,40 +499,15 @@ Simulator::runParallel(uint64_t maxEvents)
                 ctl.done = true;
                 return;
             }
-            Cycles end = minAt + lookahead_;
-            if (adaptive) {
-                // Largest safe window: no tracked pending event can
-                // influence a foreign shard before its constraint
-                // bound, and untracked events (beyond the horizon) not
-                // before minAt + maxWindowLat_. Every event executed in
-                // [minAt, end) therefore commits before its effects can
-                // cross a boundary — the full argument lives in
-                // docs/architecture.md §4.
-                end = minAt + maxWindowLat_;
-                for (auto &shard : shards_) {
-                    shard->purgeConstraints(ctl.windowEnd);
-                    end = std::min(end, shard->constraintBound());
-                }
-                // Progress is provable (every live bound is >= minAt +
-                // lookahead); the max is a cheap belt against future
-                // constraint sources breaking that proof silently.
-                end = std::max(end, minAt + lookahead_);
-            }
+            // No cross-shard event is shorter than one hop, so nothing
+            // executed in [minAt, end) can reach a foreign shard before
+            // end (docs/architecture.md §4).
+            const Cycles end = minAt + lookahead_;
             ctl.windowEnd = end;
             windowCount_++;
-            windowCycleSum_ += end - minAt;
-            // Deal active shards onto the workers' claim queues,
-            // round-robin by home worker for affinity.
-            for (auto &q : workerQueues_)
-                q.clear();
-            for (uint32_t s = 0; s < shards_.size(); ++s) {
-                Shard &shard = *shards_[s];
-                if (shard.heap_.empty() || shard.heap_.front().at >= end)
-                    continue; // Idle this window; nobody touches it.
-                claimed_[s].store(false, std::memory_order_relaxed);
-                workerQueues_[s % static_cast<uint32_t>(numWorkers_)]
-                    .push_back(s);
-            }
+            for (auto &shard : shards_)
+                if (!shard->heap_.empty() && shard->heap_.front().at < end)
+                    shardWindowsRun_++;
         } catch (...) {
             {
                 std::lock_guard<std::mutex> lock(errorMutex);
@@ -819,9 +665,7 @@ Simulator::runWithReport(uint64_t maxEvents)
 {
     report_ = SimReport{};
     windowCount_ = 0;
-    windowCycleSum_ = 0;
-    shardWindowsRun_.store(0, std::memory_order_relaxed);
-    stealCount_.store(0, std::memory_order_relaxed);
+    shardWindowsRun_ = 0;
     for (auto &shard : shards_)
         shard->outboxReallocs_ = 0;
     bool overBudget = shardCount() == 1 ? runSequential(maxEvents)

@@ -10,6 +10,14 @@ struct ArchCase
     wse::ArchParams (*make)();
 };
 
+// gtest's default printer dumps the struct's bytes, i.e. two pointers that
+// move with ASLR, and ctest folds that dump into the discovered test name.
+// Printing the label keeps the names identical from build to build.
+void PrintTo(const ArchCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 class EndToEnd : public ::testing::TestWithParam<ArchCase>
 {
 };
