@@ -162,10 +162,10 @@ StarComm::expectedSections(int x, int y) const
 }
 
 const wse::Router &
-StarComm::router(int x, int y) const
+StarComm::routes() const
 {
-    WSC_ASSERT(setupDone_, "router() before setup");
-    return routers_[static_cast<size_t>(x) * sim_.height() + y];
+    WSC_ASSERT(setupDone_, "routes() before setup");
+    return routes_;
 }
 
 StarComm::PeState &
@@ -183,41 +183,36 @@ StarComm::setup()
     // Router color configuration: one color per direction of travel used
     // by this exchange site, with an injection position and a
     // forward-and-deliver position (advanced by switches between roles).
+    // The routes do not depend on (x, y), so one table serves every PE.
     bool selfTransmit = sim_.params().switchRequiresSelfTransmit;
-    std::set<wse::Direction> travelDirs;
     int maxDistance = 0;
-    for (const Access &a : config_.accesses) {
-        travelDirs.insert(travelDirection(a));
+    for (const Access &a : config_.accesses)
         maxDistance = std::max(maxDistance, a.distance());
-    }
-    routers_.resize(static_cast<size_t>(sim_.width()) * sim_.height());
-    for (int x = 0; x < sim_.width(); ++x) {
-        for (int y = 0; y < sim_.height(); ++y) {
-            wse::Router &router =
-                routers_[static_cast<size_t>(x) * sim_.height() + y];
-            for (wse::Direction dir : travelDirs) {
-                wse::Color color = static_cast<wse::Color>(
-                    config_.baseColor + directionRank(dir));
-                wse::RouteConfig route = wse::makeStarRoute(
-                    dir, /*isSender=*/true, /*isTerminal=*/false,
-                    selfTransmit);
-                wse::RouteConfig recvRoute = wse::makeStarRoute(
-                    dir, /*isSender=*/false,
-                    /*isTerminal=*/maxDistance == 1, selfTransmit);
-                route.positions.push_back(recvRoute.positions[0]);
-                router.configure(color, route);
-            }
-        }
+    for (const Access &a : config_.accesses) {
+        wse::Direction dir = travelDirection(a);
+        wse::Color color =
+            static_cast<wse::Color>(config_.baseColor + directionRank(dir));
+        if (routes_.hasRoute(color))
+            continue;
+        wse::RouteConfig route = wse::makeStarRoute(
+            dir, /*isSender=*/true, /*isTerminal=*/false, selfTransmit);
+        wse::RouteConfig recvRoute = wse::makeStarRoute(
+            dir, /*isSender=*/false, /*isTerminal=*/maxDistance == 1,
+            selfTransmit);
+        route.positions.push_back(recvRoute.positions[0]);
+        routes_.configure(color, route);
     }
 
     // Receive buffers: one chunk per section, reused across chunks — the
-    // memory saving that csl_stencil.apply chunking enables. The dense
-    // handle is resolved once here; receive callbacks use it directly.
+    // memory saving that csl_stencil.apply chunking enables. The name is
+    // interned once and the dense handle resolved once per PE; receive
+    // callbacks use it directly.
+    wse::PeName recvName = sim_.internName(config_.recvBufferName);
+    size_t recvElems = static_cast<size_t>(numSections() * chunkElems());
     for (int x = 0; x < sim_.width(); ++x)
         for (int y = 0; y < sim_.height(); ++y)
-            state(x, y).recvBuf = sim_.pe(x, y).allocBufferId(
-                config_.recvBufferName,
-                static_cast<size_t>(numSections() * chunkElems()));
+            state(x, y).recvBuf =
+                sim_.pe(x, y).allocBufferId(recvName, recvElems);
 
     // Deadlock introspection: when the event queues drain, any PE still
     // inside an exchange is waiting for data that will never arrive —
@@ -390,7 +385,7 @@ StarComm::announceChunk(wse::Pe &pe, PeState &st, EpochState &es, int64_t c,
                         wse::Cycles readyAt)
 {
     es.announced[c] = 1;
-    st.pendingChunks.push_back({st.activeEpoch, c});
+    st.pendingChunks.emplace_back(st.activeEpoch, c);
     pe.activate(st.recvCb, readyAt);
     st.stats.recvCallbacks++;
     st.completedChunks++;
@@ -403,7 +398,7 @@ StarComm::announceSection(wse::Pe &pe, PeState &st, EpochState &es,
                           int64_t c, int section, wse::Cycles readyAt)
 {
     es.announcedSections[c][static_cast<size_t>(section)] = 1;
-    st.pendingSections.push_back({st.activeEpoch, c, section});
+    st.pendingSections.emplace_back(st.activeEpoch, c, section);
     pe.activate(st.recvCb, readyAt);
     st.stats.recvCallbacks++;
     st.announcedDeliveries++;

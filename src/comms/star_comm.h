@@ -5,7 +5,8 @@
  * stencil sizes, following the partitionable strategy of Jacquelin et al.
  *
  * One StarComm instance serves one csl.comms_exchange site: it owns the
- * per-PE receive buffer, the router color configuration, and the arrival
+ * per-PE receive buffer, the site's router color configuration (one
+ * table: the routes are the same on every PE), and the arrival
  * bookkeeping that drives the user-provided receive-chunk and
  * done-exchange callbacks.
  *
@@ -24,12 +25,12 @@
 #define WSC_COMMS_STAR_COMM_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "support/vec_fifo.h"
 #include "wse/pe.h"
 #include "wse/router.h"
 #include "wse/simulator.h"
@@ -106,8 +107,8 @@ class StarComm
     const StarCommConfig &config() const { return config_; }
 
     /**
-     * Allocate receive buffers and configure router colors on every PE.
-     * Must be called once before the first exchange.
+     * Allocate the receive buffer on every PE and build the site's
+     * route table once. Must be called once before the first exchange.
      */
     void setup();
 
@@ -157,8 +158,12 @@ class StarComm
     /** Aggregate statistics, summed across PEs on each call. */
     const StarCommStats &stats() const;
 
-    /** Router of PE (x, y), for inspecting the configured routes. */
-    const wse::Router &router(int x, int y) const;
+    /**
+     * The site's route table, one color per direction of travel. Routes
+     * do not depend on the PE, so one table describes every PE; it
+     * documents the configuration and is not consulted by the fabric.
+     */
+    const wse::Router &routes() const;
 
     /** Expected number of arriving sections for PE (x, y); 0 marks a
      *  boundary (non-computing) PE. */
@@ -203,9 +208,9 @@ class StarComm
         wse::BufferId recvBuf;
         std::map<int64_t, EpochState> epochs;
         /** (epoch, chunk) queue feeding popCompletedChunkOffset. */
-        std::deque<std::pair<int64_t, int64_t>> pendingChunks;
+        VecFifo<std::pair<int64_t, int64_t>> pendingChunks;
         /** (epoch, chunk, section) queue for per-section mode. */
-        std::deque<std::tuple<int64_t, int64_t, int>> pendingSections;
+        VecFifo<std::tuple<int64_t, int64_t, int>> pendingSections;
         /** Shard-safe statistics: counters live with the PE that
          *  increments them; stats() sums across PEs. */
         StarCommStats stats;
@@ -260,7 +265,8 @@ class StarComm
     std::vector<int> expected_;
     /** Deliveries grouped by travel direction (derived from config). */
     std::vector<PlanEntry> plan_;
-    std::vector<wse::Router> routers_;
+    /** The site's route table (built by setup()). */
+    wse::Router routes_;
     /** Merged-stats cache refreshed by stats(). */
     mutable StarCommStats statsCache_;
     bool setupDone_ = false;

@@ -36,8 +36,7 @@ CslProgramInstance::CslProgramInstance(wse::Simulator &sim,
                                        ir::Operation *root)
     : sim_(sim), program_(findProgramModule(root))
 {
-    peEnvs_.resize(static_cast<size_t>(sim.width()) * sim.height());
-    stepMarks_.resize(peEnvs_.size());
+    stepMarks_.resize(static_cast<size_t>(sim.width()) * sim.height());
 }
 
 void
@@ -345,13 +344,14 @@ void
 CslProgramInstance::compileProgram()
 {
     // Two passes so csl.call sites can resolve forward references.
-    for (const auto &[name, op] : callables_) {
-        bodyOf_[name] = static_cast<int>(bodies_.size());
+    // Callable i compiles to body i (nested scf.if bodies follow).
+    for (const CallablePlan &c : callablePlan_) {
+        bodyOf_[c.peName.str()] = static_cast<int>(bodies_.size());
         bodies_.emplace_back();
     }
     Compiler compiler(*this);
-    for (const auto &[name, op] : callables_)
-        compiler.compileCallable(name, op);
+    for (const CallablePlan &c : callablePlan_)
+        compiler.compileCallable(c.peName.str(), c.op);
     sealBodies();
 }
 
@@ -370,6 +370,115 @@ CslProgramInstance::sealBodies()
 //===----------------------------------------------------------------------===
 // Configuration
 //===----------------------------------------------------------------------===
+
+namespace {
+
+/** Record a handle on the first PE; every later PE must agree (every PE
+ *  interns the same names in the same order). */
+template <class Handle>
+void
+agree(Handle &planned, Handle got, wse::PeName name, const wse::Pe &pe)
+{
+    if (!planned.valid())
+        planned = got;
+    WSC_ASSERT(planned == got, "`" << name.str()
+                                   << "` has a different handle on PE ("
+                                   << pe.x() << ", " << pe.y()
+                                   << ") than on the first PE");
+}
+
+} // namespace
+
+void
+CslProgramInstance::planProgram(
+    const std::map<std::string, ir::Operation *> &variables)
+{
+    // Buffer-rotation pool: the initial targets of all pointer
+    // variables. On boundary (non-computing) PEs the host loads every
+    // pool buffer with the primary wavefield's boundary-condition data,
+    // making pointer rotation value-neutral there.
+    std::set<std::string> rotationPool;
+    std::string primaryField;
+    for (const auto &[name, var] : variables) {
+        ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
+        if (!csl::isPtrType(type))
+            continue;
+        std::string target = ir::stringAttrValue(var->attr(ir::attrs::kInit));
+        rotationPool.insert(target);
+        if (name == "ptr_iter0")
+            primaryField = target;
+    }
+    auto initOf = [&](const std::string &field) -> const FieldInitFn * {
+        auto it = fieldInits_.find(field);
+        return it == fieldInits_.end() ? nullptr : &it->second;
+    };
+
+    for (const auto &[name, var] : variables) {
+        VarPlan v;
+        v.peName = sim_.internName(name);
+        ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
+        if (var->hasAttr(ir::attrs::kCommsOwned)) {
+            v.kind = VarPlan::Kind::CommsOwned; // StarComm::setup allocates.
+        } else if (ir::isMemRef(type)) {
+            v.kind = VarPlan::Kind::Buffer;
+            v.elems = static_cast<size_t>(ir::numElementsOf(type));
+            // Host data transfer: fields get their own init; result
+            // buffers inherit from their target field; rotation-pool
+            // buffers on boundary PEs all carry the primary field's
+            // boundary condition.
+            std::string initField;
+            if (fieldInits_.count(name))
+                initField = name;
+            else if (var->hasAttr(ir::attrs::kInitAs))
+                initField = var->strAttr(ir::attrs::kInitAs);
+            v.init = initOf(initField);
+            v.boundaryInit = !primaryField.empty() && rotationPool.count(name)
+                                 ? initOf(primaryField)
+                                 : v.init;
+        } else if (csl::isPtrType(type)) {
+            v.kind = VarPlan::Kind::Ptr;
+            v.ptrInit = ir::stringAttrValue(var->attr(ir::attrs::kInit));
+        } else {
+            v.kind = VarPlan::Kind::Scalar;
+            if (ir::Attribute a = var->attr(ir::attrs::kInit))
+                v.scalarInit = static_cast<double>(ir::intAttrValue(a));
+        }
+        v.roleInterior = var->hasAttr(ir::attrs::kComptimeRole);
+        if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite))
+            v.roleSite = static_cast<int>(
+                commOfRecvCb_.at(ir::stringAttrValue(site)));
+        varPlan_.push_back(std::move(v));
+    }
+
+    for (const auto &[name, op] : callables_) {
+        CallablePlan c;
+        c.peName = sim_.internName(name);
+        c.op = op;
+        c.marksStep = name == "for_cond0";
+        c.wantsOffset = csl::calleeBody(op)->numArguments() == 1;
+        if (c.wantsOffset) {
+            // Lazily diagnosed: a 1-argument task that is not a
+            // registered receive callback only errors if it is actually
+            // activated (runTask).
+            auto it = commOfRecvCb_.find(name);
+            if (it != commOfRecvCb_.end())
+                c.recvSite = static_cast<int>(it->second);
+        }
+        callablePlan_.push_back(std::move(c));
+    }
+
+    // Result mapping for readFieldColumn.
+    if (ir::Attribute results = program_->attr(ir::attrs::kResultFields)) {
+        for (ir::Attribute entry : ir::arrayAttrValue(results)) {
+            ResultField rf;
+            rf.field = ir::stringAttrValue(ir::dictAttrGet(entry, "field"));
+            rf.var = ir::stringAttrValue(ir::dictAttrGet(entry, "var"));
+            rf.viaPtr =
+                ir::intAttrValue(ir::dictAttrGet(entry, "via_ptr")) != 0;
+            resultFields_.push_back(std::move(rf));
+        }
+    }
+}
 
 void
 CslProgramInstance::configure()
@@ -399,12 +508,13 @@ CslProgramInstance::configure()
     });
 
     // --- Collect module structure ---------------------------------------
+    std::map<std::string, ir::Operation *> variables;
     std::vector<ir::Operation *> commsOps;
     for (ir::Operation *op : csl::moduleBody(program_)->operations()) {
         if (op->is(csl::kFunc) || op->is(csl::kTask))
             callables_[op->strAttr(ir::attrs::kSymName)] = op;
         else if (op->is(csl::kVariable))
-            variables_[op->strAttr(ir::attrs::kSymName)] = op;
+            variables[op->strAttr(ir::attrs::kSymName)] = op;
     }
     program_->walk([&](ir::Operation *op) {
         if (op->is(csl::kCommsExchange))
@@ -434,74 +544,56 @@ CslProgramInstance::configure()
         siteCbNames_.emplace_back(spec.recvCallback, spec.doneCallback);
     }
 
-    // --- Pre-decode every callable (shared across PEs) -------------------
+    // --- The per-program plan (the IR is not read past this point) -------
+    planProgram(variables);
     if (!referenceMode_) {
         compileProgram();
-        // Intern every module variable so per-PE handle tables cover
-        // names the host touches (readFieldColumn) even when the code
-        // never mentions them.
-        for (const auto &[name, var] : variables_)
-            varIdx(name);
+        // Intern every module variable so the var table covers names
+        // the host touches (readFieldColumn) even when the code never
+        // mentions them.
+        for (const VarPlan &v : varPlan_)
+            varIdx(v.peName.str());
+        for (ResultField &rf : resultFields_) {
+            auto it = varIndex_.find(rf.var);
+            rf.varIdx = it == varIndex_.end() ? -1 : it->second;
+        }
     }
 
-    // Buffer-rotation pool: the initial targets of all pointer
-    // variables. On boundary (non-computing) PEs the host loads every
-    // pool buffer with the primary wavefield's boundary-condition data,
-    // making pointer rotation value-neutral there.
-    std::set<std::string> rotationPool;
-    std::string primaryField;
-    for (const auto &[name, var] : variables_) {
-        ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
-        if (!csl::isPtrType(type))
-            continue;
-        std::string target = ir::stringAttrValue(var->attr(ir::attrs::kInit));
-        rotationPool.insert(target);
-        if (name == "ptr_iter0")
-            primaryField = target;
-    }
+    const size_t numPes = static_cast<size_t>(sim_.width()) * sim_.height();
+    if (referenceMode_)
+        peEnvs_.resize(numPes);
 
-    // --- Per-PE state ----------------------------------------------------
+    // --- Per-PE variables --------------------------------------------------
     for (int x = 0; x < sim_.width(); ++x) {
         for (int y = 0; y < sim_.height(); ++y) {
             wse::Pe &pe = sim_.pe(x, y);
-            PeEnv &env =
-                peEnvs_[static_cast<size_t>(x) * sim_.height() + y];
             bool boundaryPe = !interiorEverywhere(x, y);
-
-            for (const auto &[name, var] : variables_) {
-                ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
-                if (var->hasAttr(ir::attrs::kCommsOwned))
-                    continue; // StarComm::setup allocates these.
-                if (ir::isMemRef(type)) {
-                    std::vector<float> &buf = pe.allocBuffer(
-                        name,
-                        static_cast<size_t>(ir::numElementsOf(type)));
-                    // Host data transfer: fields get their own init;
-                    // result buffers inherit from their target field;
-                    // rotation-pool buffers on boundary PEs all carry
-                    // the primary field's boundary condition.
-                    std::string initField;
-                    if (fieldInits_.count(name))
-                        initField = name;
-                    else if (var->hasAttr(ir::attrs::kInitAs))
-                        initField = var->strAttr(ir::attrs::kInitAs);
-                    if (boundaryPe && !primaryField.empty() &&
-                        rotationPool.count(name))
-                        initField = primaryField;
-                    auto it = fieldInits_.find(initField);
-                    if (it != fieldInits_.end()) {
+            for (VarPlan &v : varPlan_) {
+                switch (v.kind) {
+                case VarPlan::Kind::Buffer: {
+                    wse::BufferId id = pe.allocBufferId(v.peName, v.elems);
+                    agree(v.buffer, id, v.peName, pe);
+                    const FieldInitFn *init =
+                        boundaryPe ? v.boundaryInit : v.init;
+                    if (init) {
+                        std::vector<float> &buf = pe.buffer(id);
                         for (size_t z = 0; z < buf.size(); ++z)
-                            buf[z] = it->second(x, y,
-                                                static_cast<int>(z));
+                            buf[z] = (*init)(x, y, static_cast<int>(z));
                     }
-                } else if (csl::isPtrType(type)) {
-                    env.ptrs[name] =
-                        ir::stringAttrValue(var->attr(ir::attrs::kInit));
-                } else {
-                    int64_t init = 0;
-                    if (ir::Attribute a = var->attr(ir::attrs::kInit))
-                        init = ir::intAttrValue(a);
-                    pe.scalar(name) = static_cast<double>(init);
+                    break;
+                }
+                case VarPlan::Kind::Ptr:
+                    if (referenceMode_)
+                        peEnvs_[pe.id()].ptrs[v.peName.str()] = v.ptrInit;
+                    break;
+                case VarPlan::Kind::Scalar: {
+                    wse::ScalarId id = pe.scalarId(v.peName);
+                    agree(v.scalar, id, v.peName, pe);
+                    pe.scalar(id) = v.scalarInit;
+                    break;
+                }
+                case VarPlan::Kind::CommsOwned:
+                    break;
                 }
             }
         }
@@ -512,172 +604,111 @@ CslProgramInstance::configure()
     for (auto &comm : comms_)
         comm->setup();
 
-    // Comptime role flags depend on the comm sites' view of the grid.
-    // Tasks are registered next, and then the per-PE dense-handle tables
-    // (PeRt) are resolved once — after StarComm::setup so library-owned
-    // receive buffers resolve, and after registration so activation
-    // targets resolve. The opcode loop never touches a string.
-    if (!referenceMode_)
-        peRts_.resize(peEnvs_.size());
+    // The var table's handles are resolved once, after StarComm::setup so
+    // library-owned receive buffers resolve. Every PE then re-interns the
+    // table's scalars (checking the handles agree), sets the comptime
+    // role flags (which depend on the comm sites' view of the grid),
+    // registers every callable as a task with a closure of `this` and
+    // the callable index, and fills its row of variable slots.
+    if (!referenceMode_) {
+        resolveVarTable(sim_.pe(0, 0));
+        varSlots_.resize(numPes * varNames_.size());
+        peRts_.resize(numPes);
+    }
     for (int x = 0; x < sim_.width(); ++x) {
         for (int y = 0; y < sim_.height(); ++y) {
             wse::Pe &pe = sim_.pe(x, y);
-            size_t peIdx = static_cast<size_t>(x) * sim_.height() + y;
-            for (const auto &[name, var] : variables_) {
-                if (var->hasAttr(ir::attrs::kComptimeRole))
-                    pe.scalar(name) =
+            for (size_t i = 0; i < scalarName_.size(); ++i)
+                if (scalarName_[i].valid())
+                    agree(scalarId_[i], pe.scalarId(scalarName_[i]),
+                          scalarName_[i], pe);
+            for (const VarPlan &v : varPlan_) {
+                if (v.roleInterior)
+                    pe.scalar(pe.scalarId(v.peName)) =
                         interiorEverywhere(x, y) ? 1.0 : 0.0;
-                if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite)) {
-                    size_t idx =
-                        commOfRecvCb_.at(ir::stringAttrValue(site));
-                    pe.scalar(name) =
-                        comms_[idx]->expectedSections(x, y) > 0 ? 1.0
-                                                                : 0.0;
-                }
+                if (v.roleSite >= 0)
+                    pe.scalar(pe.scalarId(v.peName)) =
+                        comms_[v.roleSite]->expectedSections(x, y) > 0
+                            ? 1.0
+                            : 0.0;
             }
-
-            // Register every callable as an activatable task. Body
-            // index, step-marker role and comms site are resolved here,
-            // once, instead of per activation.
-            for (const auto &[name, op] : callables_) {
-                const bool marksStep = name == "for_cond0";
-                if (referenceMode_) {
-                    std::string taskName = name;
-                    pe.registerTask(
-                        taskName, wse::TaskKind::Local,
-                        [this, op, peIdx, marksStep,
-                         taskName](wse::TaskContext &ctx) {
-                            if (marksStep)
-                                stepMarks_[peIdx].push_back(
-                                    ctx.startCycle());
-                            SsaEnv env;
-                            ir::Block *body = csl::calleeBody(op);
-                            if (body->numArguments() == 1) {
-                                // Receive-chunk callback: bind the chunk
-                                // offset provided by the comms library.
-                                size_t site = commOfRecvCb_.at(taskName);
-                                RtValue offset;
-                                offset.kind = RtValue::Kind::Num;
-                                offset.num = static_cast<double>(
-                                    comms_[site]
-                                        ->popCompletedChunkOffset(
-                                            ctx.pe()));
-                                env[body->argument(0).impl()] = offset;
-                            }
-                            execBody(body, env, peEnvs_[peIdx], ctx);
-                        });
-                    continue;
-                }
-                const int bodyIdx = bodyOf_.at(name);
-                const bool wantsOffset =
-                    bodies_[bodyIdx].argSlots.size() == 1;
-                int site = -1;
-                if (wantsOffset) {
-                    // Resolved lazily-diagnosed: a 1-argument task that
-                    // is not a registered receive callback only errors
-                    // if it is actually activated (as before PR 2).
-                    auto it = commOfRecvCb_.find(name);
-                    site = it != commOfRecvCb_.end()
-                               ? static_cast<int>(it->second)
-                               : -1;
-                }
-                pe.registerTask(
-                    name, wse::TaskKind::Local,
-                    [this, bodyIdx, site, wantsOffset, peIdx,
-                     marksStep](wse::TaskContext &ctx) {
-                        if (marksStep)
-                            stepMarks_[peIdx].push_back(
-                                ctx.startCycle());
-                        const CompiledBody &cb = bodies_[bodyIdx];
-                        PeRt &rt = peRts_[peIdx];
-                        std::vector<RtValue> slots =
-                            rt.frames.acquire(cb.numSlots);
-                        if (wantsOffset) {
-                            WSC_ASSERT(
-                                site >= 0,
-                                "task with a chunk-offset argument is "
-                                "not a comms receive callback");
-                            // Receive-chunk callback: bind the chunk
-                            // offset provided by the comms library.
-                            RtValue &offset = slots[cb.argSlots[0]];
-                            offset.kind = RtValue::Kind::Num;
-                            offset.num = static_cast<double>(
-                                comms_[site]->popCompletedChunkOffset(
-                                    ctx.pe()));
-                        }
-                        execCompiled(bodyIdx, slots, peEnvs_[peIdx],
-                                     rt, ctx);
-                        rt.frames.release(std::move(slots));
+            for (size_t i = 0; i < callablePlan_.size(); ++i) {
+                CallablePlan &c = callablePlan_[i];
+                int idx = static_cast<int>(i);
+                wse::TaskId id = pe.registerTask(
+                    c.peName, wse::TaskKind::Local,
+                    [this, idx](wse::TaskContext &ctx) {
+                        runTask(idx, ctx);
                     });
+                agree(c.task, id, c.peName, pe);
             }
-
             if (referenceMode_)
                 continue;
 
-            // --- Dense-handle tables (the resolve-once step) ---------
-            PeRt &rt = peRts_[peIdx];
-            rt.scalarId.assign(varNames_.size(), {});
-            rt.bufferId.assign(varNames_.size(), {});
-            rt.ptrTarget.assign(varNames_.size(), {});
+            PeRt &rt = peRts_[pe.id()];
+            rt.vars = varSlots_.data() + pe.id() * varNames_.size();
             for (size_t i = 0; i < varNames_.size(); ++i) {
-                const std::string &name = varNames_[i];
-                bool isBufOrPtr = false;
-                auto vit = variables_.find(name);
-                if (vit != variables_.end()) {
-                    ir::Type t =
-                        ir::typeAttrValue(vit->second->attr(ir::attrs::kType));
-                    isBufOrPtr = ir::isMemRef(t) || csl::isPtrType(t);
-                    if (csl::isPtrType(t))
-                        rt.ptrTarget[i] = pe.bufferId(
-                            ir::stringAttrValue(
-                                vit->second->attr(ir::attrs::kInit)));
-                }
-                if (wse::BufferId buf = pe.findBuffer(name);
-                    buf.valid())
-                    rt.bufferId[i] = buf;
-                else if (!isBufOrPtr)
-                    rt.scalarId[i] = pe.scalarId(name);
+                VarSlot &slot = rt.vars[i];
+                if (bufferId_[i].valid())
+                    slot.data = &pe.buffer(bufferId_[i]);
+                slot.ptrTarget = ptrInit_[i];
+                if (ptrInit_[i].valid())
+                    slot.ptrData = &pe.buffer(ptrInit_[i]);
             }
-            rt.taskId.reserve(taskNames_.size());
-            for (const std::string &task : taskNames_)
-                rt.taskId.push_back(pe.taskId(task));
-            rt.commRecv.reserve(comms_.size());
-            rt.commDone.reserve(comms_.size());
-            for (const auto &[recvCb, doneCb] : siteCbNames_) {
-                rt.commRecv.push_back(pe.taskId(recvCb));
-                rt.commDone.push_back(pe.taskId(doneCb));
-            }
-            resolveColdChecks(pe, rt);
+        }
+    }
+
+    if (!referenceMode_) {
+        // Activation targets and comms callbacks: one lookup each, on
+        // the first PE (task handles agree on every PE).
+        wse::Pe &first = sim_.pe(0, 0);
+        for (const std::string &task : taskNames_)
+            taskId_.push_back(first.taskId(task));
+        for (const auto &[recvCb, doneCb] : siteCbNames_) {
+            commRecv_.push_back(first.taskId(recvCb));
+            commDone_.push_back(first.taskId(doneCb));
         }
     }
 }
 
 void
-CslProgramInstance::resolveColdChecks(wse::Pe &pe, PeRt &rt)
+CslProgramInstance::resolveVarTable(wse::Pe &pe)
 {
-    // Cache every buffer's data vector. Pe stores buffer slots in a
-    // deque, so the pointers are stable for the run. A variable with no
-    // live buffer travels as nullptr and panics on first element access
-    // (Dsd::at) — the same program point the per-access guard used to
-    // fire at, one instruction later.
-    rt.bufferData.assign(varNames_.size(), nullptr);
-    rt.ptrData.assign(varNames_.size(), nullptr);
-    for (size_t i = 0; i < varNames_.size(); ++i) {
-        if (rt.bufferId[i].valid())
-            rt.bufferData[i] = &pe.buffer(rt.bufferId[i]);
-        if (rt.ptrTarget[i].valid())
-            rt.ptrData[i] = &pe.buffer(rt.ptrTarget[i]);
+    std::map<std::string, const VarPlan *> planOf;
+    for (const VarPlan &v : varPlan_)
+        planOf[v.peName.str()] = &v;
+    const size_t n = varNames_.size();
+    scalarId_.assign(n, {});
+    bufferId_.assign(n, {});
+    ptrInit_.assign(n, {});
+    scalarName_.assign(n, {});
+    for (size_t i = 0; i < n; ++i) {
+        const std::string &name = varNames_[i];
+        auto it = planOf.find(name);
+        const VarPlan *v = it == planOf.end() ? nullptr : it->second;
+        bool isBufOrPtr = v && v->kind != VarPlan::Kind::Scalar;
+        if (v && v->kind == VarPlan::Kind::Ptr)
+            ptrInit_[i] = pe.bufferId(v->ptrInit);
+        if (wse::BufferId buf = pe.findBuffer(name); buf.valid())
+            bufferId_[i] = buf;
+        else if (!isBufOrPtr)
+            // A module scalar, or a name the code uses without declaring
+            // it (a zero-initialised scalar, interned on every PE).
+            scalarName_[i] = v ? v->peName : sim_.internName(name);
     }
 
-    // Every scalar-accessing instruction must hold a valid handle NOW —
-    // the handlers use unchecked access and never fall back to name
-    // interning. A scalar op naming a buffer is a
-    // type-inconsistent program; diagnose it here, not mid-run.
+    // Every scalar-accessing instruction must name a scalar — the
+    // handlers use unchecked access and never fall back to name
+    // interning. A scalar op naming a buffer is a type-inconsistent
+    // program; diagnose it here, not mid-run. A variable with no live
+    // buffer travels as nullptr and panics on first element access
+    // (Dsd::at) — the same program point the per-access guard used to
+    // fire at, one instruction later.
     for (const CompiledBody &body : bodies_) {
         for (const Instr &ins : body.code) {
             if (ins.op == Opcode::LoadScalar ||
                 ins.op == Opcode::StoreScalar)
-                WSC_ASSERT(rt.scalarId[ins.var].valid(),
+                WSC_ASSERT(scalarName_[ins.var].valid(),
                            "scalar access to non-scalar variable `"
                                << varNames_[ins.var] << "`");
         }
@@ -691,9 +722,51 @@ CslProgramInstance::launch()
     launched_ = true;
     peUnblocked_.assign(
         static_cast<size_t>(sim_.width()) * sim_.height(), 0);
+    // Task handles are the same on every PE (configure checks this).
+    wse::TaskId main = sim_.pe(0, 0).taskId("f_main");
     for (int x = 0; x < sim_.width(); ++x)
         for (int y = 0; y < sim_.height(); ++y)
-            sim_.pe(x, y).activate("f_main", 0);
+            sim_.pe(x, y).activate(main, 0);
+}
+
+void
+CslProgramInstance::runTask(int idx, wse::TaskContext &ctx)
+{
+    const CallablePlan &c = callablePlan_[static_cast<size_t>(idx)];
+    const uint32_t peIdx = ctx.pe().id();
+    if (c.marksStep)
+        stepMarks_[peIdx].push_back(ctx.startCycle());
+    // Receive-chunk callback: bind the chunk offset provided by the comms
+    // library.
+    auto chunkOffset = [&] {
+        WSC_ASSERT(c.recvSite >= 0, "task with a chunk-offset argument is "
+                                    "not a comms receive callback");
+        return static_cast<double>(
+            comms_[static_cast<size_t>(c.recvSite)]->popCompletedChunkOffset(
+                ctx.pe()));
+    };
+    if (referenceMode_) {
+        SsaEnv env;
+        ir::Block *body = csl::calleeBody(c.op);
+        if (c.wantsOffset) {
+            RtValue offset;
+            offset.kind = RtValue::Kind::Num;
+            offset.num = chunkOffset();
+            env[body->argument(0).impl()] = offset;
+        }
+        execBody(body, env, peEnvs_[peIdx], ctx);
+        return;
+    }
+    const CompiledBody &cb = bodies_[static_cast<size_t>(idx)];
+    PeRt &rt = peRts_[peIdx];
+    std::vector<RtValue> slots = rt.frames.acquire(cb.numSlots);
+    if (c.wantsOffset) {
+        RtValue &offset = slots[cb.argSlots[0]];
+        offset.kind = RtValue::Kind::Num;
+        offset.num = chunkOffset();
+    }
+    execCompiled(idx, slots, rt, ctx);
+    rt.frames.release(std::move(slots));
 }
 
 //===----------------------------------------------------------------------===
@@ -738,28 +811,28 @@ CslProgramInstance::frameStats() const
 }
 
 void
-CslProgramInstance::runCompiledCallable(int bodyIdx, PeEnv &peEnv,
-                                        PeRt &peRt, wse::TaskContext &ctx)
+CslProgramInstance::runCompiledCallable(int bodyIdx, PeRt &peRt,
+                                        wse::TaskContext &ctx)
 {
     std::vector<RtValue> slots =
         peRt.frames.acquire(bodies_[bodyIdx].numSlots);
-    execCompiled(bodyIdx, slots, peEnv, peRt, ctx);
+    execCompiled(bodyIdx, slots, peRt, ctx);
     peRt.frames.release(std::move(slots));
 }
 
 void
 CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
-                                 PeEnv &peEnv, PeRt &peRt,
-                                 wse::TaskContext &ctx)
+                                 PeRt &peRt, wse::TaskContext &ctx)
 {
     // Operand slots, scalar handles and buffer data pointers were
-    // validated/resolved at configure() (resolveColdChecks), so handlers
+    // validated/resolved at configure() (resolveVarTable), so handlers
     // perform no name lookups and no validity checks. Buffer/Ptr-kind
     // values carry their data pointer in dsd.buf, so StorePtr keeps the
     // ptrTarget/ptrData pair in lock step without a handle lookup; a
     // missing buffer travels as nullptr and panics on first element
     // access (Dsd::at), not here.
     wse::Pe &pe = ctx.pe();
+    VarSlot *vars = peRt.vars;
     auto setNum = [&slots](int32_t dst, double num) {
         RtValue &v = slots[dst];
         v.kind = RtValue::Kind::Num;
@@ -823,48 +896,48 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(1);
             int branch = slots[ins.a].num != 0.0 ? ins.body0 : ins.body1;
             if (branch >= 0)
-                execCompiled(branch, slots, peEnv, peRt, ctx);
+                execCompiled(branch, slots, peRt, ctx);
             break;
         }
         case Opcode::Return:
             return;
         case Opcode::LoadScalar:
-            setNum(ins.dst, pe.scalarUnchecked(peRt.scalarId[ins.var]));
+            setNum(ins.dst, pe.scalarUnchecked(scalarId_[ins.var]));
             ctx.consume(1);
             break;
         case Opcode::LoadBuffer:
-            setRef(ins.dst, RtValue::Kind::Buffer, peRt.bufferId[ins.var],
-                   peRt.bufferData[ins.var]);
+            setRef(ins.dst, RtValue::Kind::Buffer, bufferId_[ins.var],
+                   vars[ins.var].data);
             ctx.consume(1);
             break;
         case Opcode::LoadBufferViaPtr:
-            setRef(ins.dst, RtValue::Kind::Buffer, peRt.ptrTarget[ins.var],
-                   peRt.ptrData[ins.var]);
+            setRef(ins.dst, RtValue::Kind::Buffer, vars[ins.var].ptrTarget,
+                   vars[ins.var].ptrData);
             ctx.consume(1);
             break;
         case Opcode::LoadPtr:
-            setRef(ins.dst, RtValue::Kind::Ptr, peRt.ptrTarget[ins.var],
-                   peRt.ptrData[ins.var]);
+            setRef(ins.dst, RtValue::Kind::Ptr, vars[ins.var].ptrTarget,
+                   vars[ins.var].ptrData);
             ctx.consume(1);
             break;
         case Opcode::StoreScalar:
-            pe.scalarUnchecked(peRt.scalarId[ins.var]) = slots[ins.a].num;
+            pe.scalarUnchecked(scalarId_[ins.var]) = slots[ins.a].num;
             ctx.consume(1);
             break;
         case Opcode::StorePtr:
-            peRt.ptrTarget[ins.var] = slots[ins.a].buf;
-            peRt.ptrData[ins.var] = slots[ins.a].dsd.buf;
+            vars[ins.var].ptrTarget = slots[ins.a].buf;
+            vars[ins.var].ptrData = slots[ins.a].dsd.buf;
             ctx.consume(1);
             break;
         case Opcode::AddressOf:
-            setRef(ins.dst, RtValue::Kind::Ptr, peRt.bufferId[ins.var],
-                   peRt.bufferData[ins.var]);
+            setRef(ins.dst, RtValue::Kind::Ptr, bufferId_[ins.var],
+                   vars[ins.var].data);
             break;
         case Opcode::GetMemDsd:
-            setMemDsd(ins, peRt.bufferId[ins.var], peRt.bufferData[ins.var]);
+            setMemDsd(ins, bufferId_[ins.var], vars[ins.var].data);
             break;
         case Opcode::GetMemDsdViaPtr:
-            setMemDsd(ins, peRt.ptrTarget[ins.var], peRt.ptrData[ins.var]);
+            setMemDsd(ins, vars[ins.var].ptrTarget, vars[ins.var].ptrData);
             break;
         case Opcode::IncrementDsdOffset: {
             RtValue &v = slots[ins.dst];
@@ -902,19 +975,19 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
             break;
         case Opcode::Call:
             WSC_ASSERT(ins.body0 >= 0, "call of unknown symbol " << *ins.str);
-            runCompiledCallable(ins.body0, peEnv, peRt, ctx);
+            runCompiledCallable(ins.body0, peRt, ctx);
             ctx.consume(2);
             break;
         case Opcode::Activate:
-            pe.activate(peRt.taskId[ins.task], ctx.currentCycle());
+            pe.activate(taskId_[ins.task], ctx.currentCycle());
             ctx.consume(2);
             break;
         case Opcode::CommsExchange: {
             const RtValue &send = slots[ins.a];
             WSC_ASSERT(send.kind == RtValue::Kind::DsdVal,
                        "comms_exchange expects a DSD operand");
-            comms_[ins.site]->exchange(ctx, send.buf, peRt.commRecv[ins.site],
-                                       peRt.commDone[ins.site]);
+            comms_[ins.site]->exchange(ctx, send.buf, commRecv_[ins.site],
+                                       commDone_[ins.site]);
             ctx.consume(4);
             break;
         }
@@ -1182,33 +1255,30 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
 std::vector<float>
 CslProgramInstance::readFieldColumn(const std::string &field, int x, int y)
 {
-    // Resolve through the program's result mapping.
-    std::string var = field;
-    bool viaPtr = false;
-    if (ir::Attribute results = program_->attr(ir::attrs::kResultFields)) {
-        for (ir::Attribute entry : ir::arrayAttrValue(results)) {
-            if (ir::stringAttrValue(ir::dictAttrGet(entry, "field")) ==
-                field) {
-                var = ir::stringAttrValue(ir::dictAttrGet(entry, "var"));
-                viaPtr =
-                    ir::intAttrValue(ir::dictAttrGet(entry, "via_ptr")) !=
-                    0;
-            }
-        }
+    WSC_ASSERT(configured_, "readFieldColumn before configure");
+    wse::Pe &pe = sim_.pe(x, y);
+    // Resolve through the program's result mapping (read at configure;
+    // a later entry for the same field wins).
+    const ResultField *rf = nullptr;
+    for (const ResultField &r : resultFields_)
+        if (r.field == field)
+            rf = &r;
+    if (!rf)
+        return pe.buffer(field);
+    if (!referenceMode_) {
+        // Compiled mode tracks pointer rotation in the variable slots,
+        // not the (reference-mode) string environment.
+        WSC_ASSERT(!rf->viaPtr || rf->varIdx >= 0,
+                   "unknown pointer variable `" << rf->var << "`");
+        if (rf->viaPtr)
+            return pe.buffer(
+                peRts_[pe.id()].vars[rf->varIdx].ptrTarget);
+        if (rf->varIdx >= 0 && bufferId_[rf->varIdx].valid())
+            return pe.buffer(bufferId_[rf->varIdx]);
+        return pe.buffer(rf->var);
     }
-    size_t peIdx = static_cast<size_t>(x) * sim_.height() + y;
-    if (!referenceMode_ && viaPtr) {
-        // Compiled mode tracks pointer rotation in the dense-handle
-        // tables, not the (reference-mode) string environment.
-        auto it = varIndex_.find(var);
-        WSC_ASSERT(it != varIndex_.end(), "unknown pointer variable `"
-                                              << var << "`");
-        return sim_.pe(x, y).buffer(
-            peRts_[peIdx].ptrTarget[it->second]);
-    }
-    PeEnv &env = peEnvs_[peIdx];
-    std::string bufName = viaPtr ? env.ptrs.at(var) : var;
-    return sim_.pe(x, y).buffer(bufName);
+    return pe.buffer(rf->viaPtr ? peEnvs_[pe.id()].ptrs.at(rf->var)
+                                : rf->var);
 }
 
 const std::vector<wse::Cycles> &

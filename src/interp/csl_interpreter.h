@@ -7,12 +7,18 @@
  * generated program structure (tasks, callbacks, DSD builtins, chunked
  * exchanges) is what gets measured.
  *
- * Execution (docs/architecture.md §8): configure() compiles every
- * callable body once into a flat vector of opcode + operand-slot
- * instructions (SSA values become dense slot indices, attributes and
- * comms specs are resolved up front), validates scalar handles and
- * caches buffer data pointers per PE, so the single switch dispatch
- * loop performs no name lookups or validity checks.
+ * Execution (docs/architecture.md §8): configure() reads the IR once
+ * into a per-program plan — every variable's kind, size, host data and
+ * role, every callable's body, receive site and step-marker role — and
+ * compiles every callable body once into a flat vector of opcode +
+ * operand-slot instructions (SSA values become dense slot indices,
+ * attributes and comms specs are resolved up front). Every PE interns
+ * the same names in the same order, so the task, buffer and scalar
+ * handles are the same on every PE: they are resolved once and checked
+ * per PE. The per-PE loop then touches no IR attribute, string or map,
+ * and a PE keeps only its buffer data pointers, pointer targets and
+ * activation frames. The single switch dispatch loop performs no name
+ * lookups or validity checks.
  *
  * The original tree-walking evaluator is kept behind
  * setReferenceMode(true) as the semantic oracle: the compiled loop must
@@ -118,11 +124,68 @@ class CslProgramInstance
         wse::Dsd dsd;
     };
 
+    /** Reference-mode per-PE state. */
     struct PeEnv
     {
         /** Pointer-variable targets (buffer names). */
         std::map<std::string, std::string> ptrs;
     };
+
+    /// @name Per-program plan (read from the IR once by configure())
+    /// @{
+
+    /** One module variable. */
+    struct VarPlan
+    {
+        enum class Kind : uint8_t { Buffer, CommsOwned, Ptr, Scalar };
+        Kind kind = Kind::Scalar;
+        wse::PeName peName;
+        /** Buffer: element count and host data on interior and on
+         *  boundary PEs (nullptr: zeros). */
+        size_t elems = 0;
+        const FieldInitFn *init = nullptr;
+        const FieldInitFn *boundaryInit = nullptr;
+        /** Ptr: initial target buffer name. */
+        std::string ptrInit;
+        /** Scalar: initial value. */
+        double scalarInit = 0.0;
+        /** Comptime role flags, set after StarComm::setup: 1.0 on PEs
+         *  where every comms site computes (roleInterior), or where
+         *  site roleSite computes (roleSite >= 0). */
+        bool roleInterior = false;
+        int roleSite = -1;
+        /** Buffer / Scalar handle, the same on every PE. */
+        wse::BufferId buffer;
+        wse::ScalarId scalar;
+    };
+
+    /** One csl.func / csl.task, registered as a task on every PE. In
+     *  compiled mode callable i is body i. */
+    struct CallablePlan
+    {
+        wse::PeName peName;
+        ir::Operation *op = nullptr;
+        /** A 1-argument body binds the chunk offset of comms site
+         *  recvSite; recvSite -1 panics when (and only if) the task is
+         *  activated. */
+        bool wantsOffset = false;
+        int recvSite = -1;
+        /** for_cond0: records per-step dispatch timestamps. */
+        bool marksStep = false;
+        /** Task handle, the same on every PE. */
+        wse::TaskId task;
+    };
+
+    /** One entry of the program's result mapping (readFieldColumn). */
+    struct ResultField
+    {
+        std::string field;
+        std::string var;
+        bool viaPtr = false;
+        /** Compiled mode: var-table index of `var` (-1 = unknown). */
+        int32_t varIdx = -1;
+    };
+    /// @}
 
     /// @name Pre-decoded form
     /// @{
@@ -199,32 +262,24 @@ class CslProgramInstance
         }
     };
 
-    /**
-     * Per-PE pre-resolved dense handles, built once at configure():
-     * the opcode loop touches no strings, scalar handles are
-     * pre-validated and buffer data pointers pre-resolved, so the hot
-     * handlers carry no per-access checks.
-     */
+    /** One variable's run-time state on one PE (compiled mode). */
+    struct VarSlot
+    {
+        /** The variable's own buffer (nullptr = no buffer); stable for
+         *  the run — Pe buffer slots never move. */
+        std::vector<float> *data = nullptr;
+        /** Pointer-variable target; mutated by StorePtr at run time
+         *  (pointer rotation). */
+        wse::BufferId ptrTarget;
+        /** Data of ptrTarget, kept in lock step by StorePtr. */
+        std::vector<float> *ptrData = nullptr;
+    };
+
+    /** Compiled-mode per-PE state: everything else is per program. */
     struct PeRt
     {
-        /** Scalar handle per var-table index (invalid = not a scalar;
-         *  validated at configure for every scalar-accessing instr). */
-        std::vector<wse::ScalarId> scalarId;
-        /** Buffer handle per var-table index (invalid = no buffer). */
-        std::vector<wse::BufferId> bufferId;
-        /** Buffer data per var-table index (nullptr = no buffer);
-         *  stable for the run — Pe buffer slots live in a deque. */
-        std::vector<std::vector<float> *> bufferData;
-        /** Pointer-variable target buffer per var-table index; mutated
-         *  by StorePtr at run time (pointer rotation). */
-        std::vector<wse::BufferId> ptrTarget;
-        /** Data of ptrTarget, kept in lock step by StorePtr. */
-        std::vector<std::vector<float> *> ptrData;
-        /** Task handle per task-table index (Activate targets). */
-        std::vector<wse::TaskId> taskId;
-        /** Receive / done callback task per comms site. */
-        std::vector<wse::TaskId> commRecv;
-        std::vector<wse::TaskId> commDone;
+        /** This PE's row of varSlots_ (one entry per var-table index). */
+        VarSlot *vars = nullptr;
         /** Recycled activation frames (see FrameStack). */
         FrameStack frames;
     };
@@ -235,14 +290,18 @@ class CslProgramInstance
     void compileProgram();
     /** Append the Return sentinel the dispatch loop relies on. */
     void sealBodies();
-    /** Validate scalar handles and cache buffer data for one PE's
-     *  dense tables (panics at configure, not mid-run). */
-    void resolveColdChecks(wse::Pe &pe, PeRt &rt);
+    /** Read variables, callables and the result mapping into the plan. */
+    void planProgram(const std::map<std::string, ir::Operation *> &variables);
+    /** Resolve the var table's handles on one PE (they are the same on
+     *  every PE) and validate them: panics at configure, not mid-run. */
+    void resolveVarTable(wse::Pe &pe);
 
+    /** Body of every registered task: run callable `idx` on ctx's PE. */
+    void runTask(int idx, wse::TaskContext &ctx);
     /** The dispatch loop: run one compiled body in `slots`. */
-    void execCompiled(int bodyIdx, std::vector<RtValue> &slots,
-                      PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
-    void runCompiledCallable(int bodyIdx, PeEnv &peEnv, PeRt &peRt,
+    void execCompiled(int bodyIdx, std::vector<RtValue> &slots, PeRt &peRt,
+                      wse::TaskContext &ctx);
+    void runCompiledCallable(int bodyIdx, PeRt &peRt,
                              wse::TaskContext &ctx);
     /// @}
 
@@ -259,13 +318,16 @@ class CslProgramInstance
     wse::Simulator &sim_;
     ir::Operation *program_ = nullptr;
     std::map<std::string, ir::Operation *> callables_;
-    std::map<std::string, ir::Operation *> variables_;
     std::map<std::string, FieldInitFn> fieldInits_;
     std::vector<std::unique_ptr<comms::StarComm>> comms_;
     /** comms site index per csl.comms_exchange op. */
     std::map<ir::Operation *, size_t> commSiteOf_;
     /** comms site per receive-callback task name. */
     std::map<std::string, size_t> commOfRecvCb_;
+    std::vector<VarPlan> varPlan_;
+    std::vector<CallablePlan> callablePlan_;
+    std::vector<ResultField> resultFields_;
+    /** Reference mode only. */
     std::vector<PeEnv> peEnvs_;
     std::vector<std::vector<wse::Cycles>> stepMarks_;
     /** Atomic: incremented from any shard's worker thread. */
@@ -291,12 +353,29 @@ class CslProgramInstance
     std::map<std::string, int> bodyOf_;
     std::vector<std::string> varNames_;
     std::map<std::string, int32_t> varIndex_;
-    /** Activate-target task names (per-PE handles live in PeRt). */
+    /** Activate-target task names. */
     std::vector<std::string> taskNames_;
     std::map<std::string, int32_t> taskIndex_;
     /** Receive / done callback names per comms site. */
     std::vector<std::pair<std::string, std::string>> siteCbNames_;
     std::deque<std::string> stringPool_;
+
+    /** Handles per var-table index, the same on every PE: scalar
+     *  (invalid = not a scalar), buffer (invalid = no buffer) and the
+     *  pointer variable's initial target. */
+    std::vector<wse::ScalarId> scalarId_;
+    std::vector<wse::BufferId> bufferId_;
+    std::vector<wse::BufferId> ptrInit_;
+    /** Names of the var table's scalars (invalid for non-scalars). */
+    std::vector<wse::PeName> scalarName_;
+    /** Task handle per Activate target, and receive / done callback
+     *  task per comms site, the same on every PE. */
+    std::vector<wse::TaskId> taskId_;
+    std::vector<wse::TaskId> commRecv_;
+    std::vector<wse::TaskId> commDone_;
+    /** Per-PE state: PE p's var slots are varSlots_[p * varNames_.size()
+     *  ...], allocated once for the whole grid. */
+    std::vector<VarSlot> varSlots_;
     std::vector<PeRt> peRts_;
     /// @}
 };

@@ -23,7 +23,6 @@ TaskContext::dsdOp(uint64_t elems, int flopsPerElem, int bytesPerElem)
 Pe::Pe(Simulator &sim, Shard &shard, int x, int y, uint32_t id)
     : sim_(sim), shard_(shard), x_(x), y_(y), id_(id)
 {
-    scalars_.reserve(16);
 }
 
 Cycles
@@ -53,14 +52,13 @@ Pe::scheduleDispatch(Cycles at)
 void
 Pe::checkBufferLive(BufferId id) const
 {
-    WSC_ASSERT(id.index >= 0 &&
-                   static_cast<size_t>(id.index) < buffers_.size(),
+    WSC_ASSERT(id.index >= 0 && id.index < numBuffers_,
                "invalid buffer handle " << id.index << " on PE (" << x_
                                         << ", " << y_ << ")");
-    WSC_ASSERT(buffers_[static_cast<size_t>(id.index)].live,
-               "use of freed buffer `"
-                   << buffers_[static_cast<size_t>(id.index)].name
-                   << "` on PE (" << x_ << ", " << y_ << ")");
+    WSC_ASSERT(slot(id.index).live,
+               "use of freed buffer `" << slot(id.index).name.str()
+                                       << "` on PE (" << x_ << ", " << y_
+                                       << ")");
 }
 
 void
@@ -73,31 +71,43 @@ Pe::checkScalar(ScalarId id) const
 }
 
 BufferId
-Pe::allocBufferId(const std::string &name, size_t elems)
+Pe::allocBufferId(PeName name, size_t elems)
 {
     size_t bytes = elems * sizeof(float);
     if (bytesUsed_ + bytes >
         static_cast<size_t>(sim_.params().peMemoryBytes)) {
         fatal(strcat("PE (", x_, ", ", y_, ") out of memory allocating `",
-                     name, "` (", elems, " elems): ", bytesUsed_, " + ",
-                     bytes, " > ", sim_.params().peMemoryBytes, " bytes"));
+                     name.str(), "` (", elems, " elems): ", bytesUsed_,
+                     " + ", bytes, " > ", sim_.params().peMemoryBytes,
+                     " bytes"));
     }
-    auto [it, inserted] = bufferIds_.try_emplace(
-        name, static_cast<int32_t>(buffers_.size()));
-    if (inserted) {
-        buffers_.push_back(BufferSlot{name, {}, true});
+    int32_t index = 0;
+    while (index < numBuffers_ && slot(index).name != name)
+        ++index;
+    if (index == numBuffers_) {
+        if (static_cast<size_t>(numBuffers_) ==
+            (moreSlots_.size() + 1) * kSlotChunk)
+            moreSlots_.push_back(std::make_unique<BufferSlot[]>(kSlotChunk));
+        numBuffers_++;
+        slot(index).name = name;
     } else {
         // Re-allocation after freeBuffer() reuses the slot (and the
         // handle); double allocation of a live name is an error.
-        BufferSlot &slot = buffers_[static_cast<size_t>(it->second)];
-        WSC_ASSERT(!slot.live,
-                   "buffer `" << name << "` already allocated on PE ("
+        WSC_ASSERT(!slot(index).live,
+                   "buffer `" << name.str() << "` already allocated on PE ("
                               << x_ << ", " << y_ << ")");
-        slot.live = true;
     }
+    BufferSlot &s = slot(index);
+    s.live = true;
     bytesUsed_ += bytes;
-    buffers_[static_cast<size_t>(it->second)].data.assign(elems, 0.0f);
-    return BufferId{it->second};
+    s.data.assign(elems, 0.0f);
+    return BufferId{index};
+}
+
+BufferId
+Pe::allocBufferId(const std::string &name, size_t elems)
+{
+    return allocBufferId(sim_.internName(name), elems);
 }
 
 std::vector<float> &
@@ -124,20 +134,18 @@ Pe::bufferId(const std::string &name) const
 BufferId
 Pe::findBuffer(const std::string &name) const
 {
-    auto it = bufferIds_.find(name);
-    if (it == bufferIds_.end() ||
-        !buffers_[static_cast<size_t>(it->second)].live)
-        return BufferId{};
-    return BufferId{it->second};
+    for (int32_t i = 0; i < numBuffers_; ++i)
+        if (slot(i).name.str() == name)
+            return slot(i).live ? BufferId{i} : BufferId{};
+    return BufferId{};
 }
 
 const std::string &
 Pe::bufferName(BufferId id) const
 {
-    WSC_ASSERT(id.index >= 0 &&
-                   static_cast<size_t>(id.index) < buffers_.size(),
+    WSC_ASSERT(id.index >= 0 && id.index < numBuffers_,
                "invalid buffer handle " << id.index);
-    return buffers_[static_cast<size_t>(id.index)].name;
+    return slot(id.index).name.str();
 }
 
 bool
@@ -150,10 +158,10 @@ void
 Pe::freeBuffer(BufferId id)
 {
     checkBufferLive(id);
-    BufferSlot &slot = buffers_[static_cast<size_t>(id.index)];
-    bytesUsed_ -= slot.data.size() * sizeof(float);
-    slot.live = false;
-    std::vector<float>().swap(slot.data); // Release the memory.
+    BufferSlot &s = slot(id.index);
+    bytesUsed_ -= s.data.size() * sizeof(float);
+    s.live = false;
+    std::vector<float>().swap(s.data); // Release the memory.
 }
 
 void
@@ -165,30 +173,52 @@ Pe::freeBuffer(const std::string &name)
 }
 
 ScalarId
+Pe::scalarId(PeName name)
+{
+    for (size_t i = 0; i < scalars_.size(); ++i)
+        if (scalars_[i].name == name)
+            return ScalarId{static_cast<int32_t>(i)};
+    if (scalars_.empty())
+        scalars_.reserve(kFirstReserve);
+    scalars_.push_back(ScalarSlot{name, 0.0});
+    return ScalarId{static_cast<int32_t>(scalars_.size() - 1)};
+}
+
+ScalarId
 Pe::scalarId(const std::string &name)
 {
-    auto [it, inserted] = scalarIds_.try_emplace(
-        name, static_cast<int32_t>(scalars_.size()));
-    if (inserted)
-        scalars_.push_back(0.0);
-    return ScalarId{it->second};
+    ScalarId id = findScalar(name);
+    return id.valid() ? id : scalarId(sim_.internName(name));
 }
 
 ScalarId
 Pe::findScalar(const std::string &name) const
 {
-    auto it = scalarIds_.find(name);
-    return it == scalarIds_.end() ? ScalarId{} : ScalarId{it->second};
+    for (size_t i = 0; i < scalars_.size(); ++i)
+        if (scalars_[i].name.str() == name)
+            return ScalarId{static_cast<int32_t>(i)};
+    return ScalarId{};
+}
+
+TaskId
+Pe::registerTask(PeName name, TaskKind kind, TaskFn fn)
+{
+    WSC_ASSERT(!dispatching_, "task `" << name.str()
+                                       << "` registered by a task running "
+                                          "on the same PE");
+    for (const TaskInfo &task : tasks_)
+        WSC_ASSERT(task.name != name,
+                   "task `" << name.str() << "` already registered");
+    if (tasks_.empty())
+        tasks_.reserve(kFirstReserve);
+    tasks_.push_back(TaskInfo{name, kind, std::move(fn)});
+    return TaskId{static_cast<int32_t>(tasks_.size() - 1)};
 }
 
 TaskId
 Pe::registerTask(const std::string &name, TaskKind kind, TaskFn fn)
 {
-    auto [it, inserted] = taskIds_.try_emplace(
-        name, static_cast<int32_t>(tasks_.size()));
-    WSC_ASSERT(inserted, "task `" << name << "` already registered");
-    tasks_.push_back(TaskInfo{name, kind, std::move(fn)});
-    return TaskId{it->second};
+    return registerTask(sim_.internName(name), kind, std::move(fn));
 }
 
 TaskId
@@ -204,8 +234,10 @@ Pe::taskId(const std::string &name) const
 TaskId
 Pe::findTask(const std::string &name) const
 {
-    auto it = taskIds_.find(name);
-    return it == taskIds_.end() ? TaskId{} : TaskId{it->second};
+    for (size_t i = 0; i < tasks_.size(); ++i)
+        if (tasks_[i].name.str() == name)
+            return TaskId{static_cast<int32_t>(i)};
+    return TaskId{};
 }
 
 bool
@@ -247,7 +279,6 @@ Pe::dispatchPending()
         return;
     auto [taskIdx, readyAt] = pending_.front();
     pending_.pop_front();
-    const TaskInfo &task = tasks_[static_cast<size_t>(taskIdx)];
 
     const ArchParams &p = sim_.params();
     Cycles ready = std::max(readyAt, now());
@@ -259,7 +290,9 @@ Pe::dispatchPending()
     shardStats().taskActivations++;
 
     TaskContext ctx(sim_, *this, start);
-    task.fn(ctx);
+    dispatching_ = true;
+    tasks_[static_cast<size_t>(taskIdx)].fn(ctx);
+    dispatching_ = false;
     // Charge the consumed core time onto the work timeline.
     if (ctx.consumed() > 0)
         reserveWork(start, ctx.consumed());
@@ -289,7 +322,7 @@ Pe::taskName(int32_t taskIdx) const
     WSC_ASSERT(taskIdx >= 0 &&
                    static_cast<size_t>(taskIdx) < tasks_.size(),
                "invalid task index " << taskIdx);
-    return tasks_[static_cast<size_t>(taskIdx)].name;
+    return tasks_[static_cast<size_t>(taskIdx)].name.str();
 }
 
 void

@@ -5,23 +5,29 @@
  * and a single work timeline on which compute and ramp transfers
  * serialize (see simulator.h for the timing-model rationale).
  *
- * Tasks, buffers and scalars are identified by dense interned handles
- * (TaskId / BufferId / ScalarId) backed by flat per-PE tables; every
- * per-activation and per-access hot path is an O(1) index. The
- * string-named API remains as a thin resolve-once wrapper used at
- * registration time and by tests.
+ * Tasks, buffers and scalars are identified by dense handles (TaskId /
+ * BufferId / ScalarId) into flat per-PE vectors; every per-activation
+ * and per-access hot path is an O(1) index. Their names are PeNames
+ * interned once in the simulator's name pool, so a PE stores 8-byte
+ * name pointers, not strings. A PE allocates nothing until its first
+ * buffer, scalar, task or activation.
+ * The string-named API interns (or scans) and delegates; it serves
+ * tests and hand-written kernels.
  */
 
 #ifndef WSC_WSE_PE_H
 #define WSC_WSE_PE_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "support/vec_fifo.h"
 #include "wse/arch_params.h"
 
 namespace wsc::wse {
@@ -57,6 +63,26 @@ struct ScalarId
     int32_t index = -1;
     bool valid() const { return index >= 0; }
     bool operator==(const ScalarId &) const = default;
+};
+
+/**
+ * A task, buffer or scalar name interned in a simulator's name pool
+ * (Simulator::internName). Equal names share one pooled string that
+ * lives as long as the simulator, so PEs store and compare the pointer.
+ */
+class PeName
+{
+  public:
+    PeName() = default;
+    bool valid() const { return str_ != nullptr; }
+    const std::string &str() const { return *str_; }
+    bool operator==(const PeName &) const = default;
+
+  private:
+    friend class Simulator;
+    explicit PeName(const std::string *str) : str_(str) {}
+
+    const std::string *str_ = nullptr;
 };
 
 /**
@@ -108,6 +134,9 @@ class Pe
     /** Constructed by Simulator: `shard` owns this PE's grid tile and
      *  `id` is the dense grid index used in event-ordering keys. */
     Pe(Simulator &sim, Shard &shard, int x, int y, uint32_t id);
+    /** Events and tasks hold the PE's address. */
+    Pe(const Pe &) = delete;
+    Pe &operator=(const Pe &) = delete;
 
     int x() const { return x_; }
     int y() const { return y_; }
@@ -134,6 +163,7 @@ class Pe
      * FatalError when the 48 kB PE memory would be exceeded. A name
      * freed earlier may be re-allocated and keeps its handle.
      */
+    BufferId allocBufferId(PeName name, size_t elems);
     BufferId allocBufferId(const std::string &name, size_t elems);
     /** Name-based convenience wrapper around allocBufferId(). */
     std::vector<float> &allocBuffer(const std::string &name, size_t elems);
@@ -142,7 +172,7 @@ class Pe
     buffer(BufferId id)
     {
         checkBufferLive(id);
-        return buffers_[static_cast<size_t>(id.index)].data;
+        return slot(id.index).data;
     }
     std::vector<float> &buffer(const std::string &name);
     /** Resolve a live buffer name; panics when unknown or freed. */
@@ -163,6 +193,7 @@ class Pe
      * Intern a scalar name to its dense handle (creates the scalar,
      * value 0, on first use — the resolve-once registration step).
      */
+    ScalarId scalarId(PeName name);
     ScalarId scalarId(const std::string &name);
     /** Resolve without interning; invalid handle when unknown. */
     ScalarId findScalar(const std::string &name) const;
@@ -173,7 +204,7 @@ class Pe
     scalar(ScalarId id)
     {
         checkScalar(id);
-        return scalars_[static_cast<size_t>(id.index)];
+        return scalars_[static_cast<size_t>(id.index)].value;
     }
     /** Unchecked O(1) access for handles pre-validated at configure
      *  time (the interpreter's tier-3 contract): no validity branch on
@@ -181,17 +212,23 @@ class Pe
     double &
     scalarUnchecked(ScalarId id)
     {
-        return scalars_[static_cast<size_t>(id.index)];
+        return scalars_[static_cast<size_t>(id.index)].value;
     }
     double &scalar(const std::string &name) { return scalar(scalarId(name)); }
     bool hasScalar(const std::string &name) const
     {
-        return scalarIds_.count(name) > 0;
+        return findScalar(name).valid();
     }
     /// @}
 
     /// @name Tasks
     /// @{
+    /**
+     * Register a task. Not allowed from a task running on this PE: the
+     * task table is a vector, and growing it would move the running
+     * closure.
+     */
+    TaskId registerTask(PeName name, TaskKind kind, TaskFn fn);
     TaskId registerTask(const std::string &name, TaskKind kind, TaskFn fn);
     /** Resolve a registered task name; panics when unknown. */
     TaskId taskId(const std::string &name) const;
@@ -247,11 +284,12 @@ class Pe
 
     /// @name Diagnosis introspection
     /// @{
-    /** Activations not yet dispatched: (task index, readyAt). */
-    const std::deque<std::pair<int32_t, Cycles>> &
+    /** Activations not yet dispatched: (task index, readyAt), oldest
+     *  first. */
+    std::span<const std::pair<int32_t, Cycles>>
     pendingActivations() const
     {
-        return pending_;
+        return pending_.view();
     }
     /** Registered name of a task index (diagnosis tables). */
     const std::string &taskName(int32_t taskIdx) const;
@@ -267,7 +305,7 @@ class Pe
   private:
     struct TaskInfo
     {
-        std::string name; ///< for diagnosis tables only
+        PeName name;
         TaskKind kind;
         TaskFn fn;
     };
@@ -275,10 +313,37 @@ class Pe
     /** One buffer slot; `live` is false between free and re-alloc. */
     struct BufferSlot
     {
-        std::string name;
+        PeName name;
         std::vector<float> data;
         bool live = false;
     };
+
+    /** One module-level scalar. */
+    struct ScalarSlot
+    {
+        PeName name;
+        double value = 0.0;
+    };
+
+    /** Buffer slots per chunk (see inlineSlots_). */
+    static constexpr size_t kSlotChunk = 8;
+    /** Capacity of the scalar and task tables at their first entry:
+     *  one allocation each for a typical program. */
+    static constexpr size_t kFirstReserve = 8;
+
+    BufferSlot &
+    slot(int32_t index)
+    {
+        size_t i = static_cast<size_t>(index);
+        return i < kSlotChunk
+                   ? inlineSlots_[i]
+                   : moreSlots_[i / kSlotChunk - 1][i % kSlotChunk];
+    }
+    const BufferSlot &
+    slot(int32_t index) const
+    {
+        return const_cast<Pe *>(this)->slot(index);
+    }
 
     void checkBufferLive(BufferId id) const;
     void checkScalar(ScalarId id) const;
@@ -291,20 +356,21 @@ class Pe
     int x_;
     int y_;
     uint32_t id_;
-    /** Deque so slot (and vector) addresses survive later allocations —
-     *  DSDs hold pointers to the slot's data vector. */
-    std::deque<BufferSlot> buffers_;
-    std::unordered_map<std::string, int32_t> bufferIds_;
-    std::vector<double> scalars_;
-    std::unordered_map<std::string, int32_t> scalarIds_;
+    /** The first kSlotChunk buffer slots live in the PE itself, later
+     *  ones in heap chunks of kSlotChunk, so slot (and data vector)
+     *  addresses survive later allocations — DSDs hold pointers to the
+     *  slot's data vector. */
+    std::array<BufferSlot, kSlotChunk> inlineSlots_;
+    std::vector<std::unique_ptr<BufferSlot[]>> moreSlots_;
+    int32_t numBuffers_ = 0;
+    std::vector<ScalarSlot> scalars_;
     size_t bytesUsed_ = 0;
-    /** Deque so TaskInfo references stay stable if a running task
-     *  registers further tasks. */
-    std::deque<TaskInfo> tasks_;
-    std::unordered_map<std::string, int32_t> taskIds_;
+    std::vector<TaskInfo> tasks_;
     /** (task index, readyAt) activation queue. */
-    std::deque<std::pair<int32_t, Cycles>> pending_;
+    VecFifo<std::pair<int32_t, Cycles>> pending_;
     bool dispatchScheduled_ = false;
+    /** Set while a task of this PE runs (guards registerTask). */
+    bool dispatching_ = false;
     Cycles workFree_ = 0;
     uint64_t taskActivations_ = 0;
     Cycles busyCycles_ = 0;

@@ -1,10 +1,12 @@
 /**
  * @file
- * Per-PE router configuration: color-indexed routes with receive/transmit
- * direction sets and advanceable switch positions. The star-communication
- * library configures these at setup time; the fabric validates streams
- * against them, so misconfigured routes are caught in simulation just as
- * they would misbehave on hardware.
+ * Router configuration: color-indexed routes with receive/transmit
+ * direction sets and advanceable switch positions. The
+ * star-communication library builds one table per exchange site at
+ * setup time (its routes are the same on every PE). The table records
+ * the configuration the generated program would load; the fabric does
+ * not read it — streams are timed and delivered from the exchange's own
+ * send plan (wse/fabric.h).
  */
 
 #ifndef WSC_WSE_ROUTER_H

@@ -281,6 +281,13 @@ Simulator::pe(int x, int y)
     return *pes_[peIndex(x, y)];
 }
 
+PeName
+Simulator::internName(const std::string &name)
+{
+    std::lock_guard<std::mutex> lock(namePoolMutex_);
+    return PeName(&*namePool_.insert(name).first);
+}
+
 Shard &
 Simulator::shardOfPe(uint32_t peIdx)
 {
@@ -618,7 +625,7 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
     d.blockedPes = std::move(blocked);
 
     for (const auto &pe : pes_) {
-        const auto &pending = pe->pendingActivations();
+        const auto pending = pe->pendingActivations();
         if (pending.empty())
             continue;
         d.pendingTaskTotal += pending.size();

@@ -52,8 +52,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <new>
+#include <string>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -484,6 +487,13 @@ class Simulator
     Pe &pe(int x, int y);
     Fabric &fabric() { return *fabric_; }
 
+    /**
+     * Intern a task, buffer or scalar name into this simulator's name
+     * pool (thread-safe). A program resolves each name once and hands
+     * the PeName to every PE, which then stores and compares pointers.
+     */
+    PeName internName(const std::string &name);
+
     /** Aggregate statistics, merged across shards on each call
      *  (read-only: subsystems accumulate into their shard's stats). */
     const SimStats &stats();
@@ -621,6 +631,10 @@ class Simulator
      *  writes, barrier-ordered). */
     uint64_t windowCount_ = 0;
     uint64_t shardWindowsRun_ = 0;
+    /** Interned PE names (internName); nodes never move, so PeName
+     *  pointers stay valid for the simulator's lifetime. */
+    std::mutex namePoolMutex_;
+    std::unordered_set<std::string> namePool_;
     std::vector<std::unique_ptr<Pe>> pes_;
     std::unique_ptr<Fabric> fabric_;
     /** Merged-stats cache refreshed by stats(). */

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "ir/pattern.h"
+#include "support/vec_fifo.h"
 
 namespace wsc::test {
 namespace {
@@ -188,6 +189,68 @@ TEST_F(PeHandleTest, ScalarIdInterning)
     wse::ScalarId y = pe.scalarId("y");
     EXPECT_NE(y, x);
     EXPECT_EQ(pe.scalar(y), 0.0);
+}
+
+TEST_F(PeHandleTest, BufferAddressesSurviveLaterAllocations)
+{
+    // DSDs and the interpreter's variable slots hold pointers to a
+    // buffer's data vector: allocating more buffers (past the slots
+    // stored inline in the Pe) must not move earlier ones.
+    wse::Pe &pe = sim.pe(0, 0);
+    std::vector<wse::BufferId> ids;
+    std::vector<std::vector<float> *> addresses;
+    for (int i = 0; i < 20; ++i) {
+        ids.push_back(pe.allocBufferId("b" + std::to_string(i), 4));
+        addresses.push_back(&pe.buffer(ids.back()));
+    }
+    for (int i = 0; i < 20; ++i) {
+        EXPECT_EQ(ids[i].index, i);
+        EXPECT_EQ(&pe.buffer(ids[i]), addresses[i]);
+        EXPECT_EQ(pe.bufferId("b" + std::to_string(i)), ids[i]);
+    }
+    // Free + re-allocate a chunked slot: same handle, same vector.
+    pe.freeBuffer(ids[17]);
+    EXPECT_EQ(pe.allocBufferId("b17", 8), ids[17]);
+    EXPECT_EQ(&pe.buffer(ids[17]), addresses[17]);
+    EXPECT_EQ(pe.memoryBytesUsed(), (19u * 4 + 8) * sizeof(float));
+}
+
+TEST_F(PeHandleTest, TaskCannotRegisterOnItsOwnPe)
+{
+    // The task table is a vector: growing it from a running task would
+    // move the running closure, so registration from inside a task of
+    // the same PE is rejected.
+    wse::Pe &pe = sim.pe(0, 0);
+    pe.registerTask("grow", wse::TaskKind::Local, [&](wse::TaskContext &) {
+        pe.registerTask("late", wse::TaskKind::Local,
+                        [](wse::TaskContext &) {});
+    });
+    pe.activate("grow", 0);
+    EXPECT_THROW(sim.run(), PanicError);
+}
+
+TEST(VecFifo, KeepsOrderAcrossCompaction)
+{
+    // A queue that never drains compacts its consumed prefix; the
+    // remaining elements keep their order.
+    VecFifo<int> fifo;
+    int next = 0;
+    int expected = 0;
+    for (int round = 0; round < 200; ++round) {
+        fifo.emplace_back(next++);
+        fifo.emplace_back(next++);
+        ASSERT_EQ(fifo.front(), expected++);
+        fifo.pop_front();
+    }
+    EXPECT_EQ(fifo.size(), 200u);
+    std::span<const int> view = fifo.view();
+    for (size_t i = 0; i < view.size(); ++i)
+        EXPECT_EQ(view[i], expected + static_cast<int>(i));
+    while (!fifo.empty()) {
+        EXPECT_EQ(fifo.front(), expected++);
+        fifo.pop_front();
+    }
+    EXPECT_EQ(expected, next);
 }
 
 //===----------------------------------------------------------------------===

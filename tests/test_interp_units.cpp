@@ -210,6 +210,68 @@ TEST_F(InterpUnit, UnknownOpIsRejected)
     EXPECT_THROW(sim.run(), PanicError);
 }
 
+TEST_F(InterpUnit, OffsetTaskOutsideCommsPanicsOnlyWhenActivated)
+{
+    // A 1-argument task that is no comms site's receive callback is
+    // diagnosed lazily, in both interpreter modes: configure and a run
+    // that never activates it succeed; activating it panics.
+    csl::createVariable(*pb, "fire", ir::getI32Type(ctx),
+                        ir::getIntAttr(ctx, 0));
+    {
+        ir::Operation *task = csl::createTask(*pb, "orphan_cb", "local", 3,
+                                              {ir::getI16Type(ctx)});
+        ir::OpBuilder tb(ctx);
+        tb.setInsertionPointToEnd(csl::calleeBody(task));
+        csl::createReturn(tb);
+    }
+    {
+        ir::OpBuilder fb = makeFunc("f_main");
+        ir::Value fire = csl::createLoadVar(fb, "fire", ir::getI32Type(ctx));
+        ir::Value zero = ar::createConstantI32(fb, 0);
+        ir::Value cond = ar::createCmpI(fb, "ne", fire, zero);
+        ir::Operation *ifOp = scf::createIf(fb, cond);
+        ir::OpBuilder thenB(ctx);
+        thenB.setInsertionPointToEnd(scf::ifThenBlock(ifOp));
+        csl::createActivate(thenB, "orphan_cb");
+        scf::createYield(thenB);
+        ir::OpBuilder elseB(ctx);
+        elseB.setInsertionPointToEnd(scf::ifElseBlock(ifOp));
+        scf::createYield(elseB);
+        csl::createUnblockCmdStream(fb);
+        csl::createReturn(fb);
+    }
+    ASSERT_TRUE(ir::succeeded(ir::verify(module.get())));
+
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        {
+            wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
+            interp::CslProgramInstance instance(sim, module.get());
+            instance.setReferenceMode(reference);
+            EXPECT_NO_THROW(instance.configure());
+            instance.launch();
+            EXPECT_NO_THROW(sim.run());
+            EXPECT_EQ(instance.unblockCount(), 2u);
+        }
+        wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        sim.pe(1, 0).scalar("fire") = 1.0;
+        instance.launch();
+        try {
+            sim.run();
+            ADD_FAILURE() << "activating orphan_cb did not panic";
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "task with a chunk-offset argument is not a "
+                          "comms receive callback"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST_F(InterpUnit, UnblockCountsHostReturns)
 {
     ir::OpBuilder fb = makeFunc("f_main");

@@ -278,7 +278,7 @@ TEST_F(StarCommTest, AccessesMustBeCanonical)
 TEST_F(StarCommTest, RoutersAreConfiguredForAllTravelDirections)
 {
     build(3, 3, fourNeighbourConfig(6));
-    const wse::Router &router = comm->router(1, 1);
+    const wse::Router &router = comm->routes();
     for (int c = 0; c < 4; ++c)
         EXPECT_TRUE(router.hasRoute(static_cast<wse::Color>(c)));
 }
