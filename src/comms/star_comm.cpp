@@ -161,13 +161,6 @@ StarComm::expectedSections(int x, int y) const
     return expected_[static_cast<size_t>(x) * sim_.height() + y];
 }
 
-const wse::Router &
-StarComm::routes() const
-{
-    WSC_ASSERT(setupDone_, "routes() before setup");
-    return routes_;
-}
-
 StarComm::PeState &
 StarComm::state(int x, int y)
 {
@@ -179,29 +172,6 @@ StarComm::setup()
 {
     WSC_ASSERT(!setupDone_, "setup() called twice");
     setupDone_ = true;
-
-    // Router color configuration: one color per direction of travel used
-    // by this exchange site, with an injection position and a
-    // forward-and-deliver position (advanced by switches between roles).
-    // The routes do not depend on (x, y), so one table serves every PE.
-    bool selfTransmit = sim_.params().switchRequiresSelfTransmit;
-    int maxDistance = 0;
-    for (const Access &a : config_.accesses)
-        maxDistance = std::max(maxDistance, a.distance());
-    for (const Access &a : config_.accesses) {
-        wse::Direction dir = travelDirection(a);
-        wse::Color color =
-            static_cast<wse::Color>(config_.baseColor + directionRank(dir));
-        if (routes_.hasRoute(color))
-            continue;
-        wse::RouteConfig route = wse::makeStarRoute(
-            dir, /*isSender=*/true, /*isTerminal=*/false, selfTransmit);
-        wse::RouteConfig recvRoute = wse::makeStarRoute(
-            dir, /*isSender=*/false, /*isTerminal=*/maxDistance == 1,
-            selfTransmit);
-        route.positions.push_back(recvRoute.positions[0]);
-        routes_.configure(color, route);
-    }
 
     // Receive buffers: one chunk per section, reused across chunks — the
     // memory saving that csl_stencil.apply chunking enables. The name is

@@ -5,10 +5,10 @@
  * stencil sizes, following the partitionable strategy of Jacquelin et al.
  *
  * One StarComm instance serves one csl.comms_exchange site: it owns the
- * per-PE receive buffer, the site's router color configuration (one
- * table: the routes are the same on every PE), and the arrival
- * bookkeeping that drives the user-provided receive-chunk and
- * done-exchange callbacks.
+ * per-PE receive buffer and the arrival bookkeeping that drives the
+ * user-provided receive-chunk and done-exchange callbacks. Streams are
+ * timed and delivered by the fabric from the exchange's own send plan
+ * (wse/fabric.h); no router configuration is modelled.
  *
  * Properties the paper credits for the generated code's edge over the
  * hand-written kernel are expressed here as configuration:
@@ -32,7 +32,6 @@
 
 #include "support/vec_fifo.h"
 #include "wse/pe.h"
-#include "wse/router.h"
 #include "wse/simulator.h"
 
 namespace wsc::comms {
@@ -74,8 +73,6 @@ struct StarCommConfig
     std::vector<double> coeffs;
     /** Name of the per-PE receive buffer this instance allocates. */
     std::string recvBufferName = "recv_buffer";
-    /** First router color used by this exchange site. */
-    wse::Color baseColor = 0;
     /**
      * When set, the receive callback is activated once per landed
      * (section, chunk) instead of once per completed chunk — the task
@@ -107,8 +104,8 @@ class StarComm
     const StarCommConfig &config() const { return config_; }
 
     /**
-     * Allocate the receive buffer on every PE and build the site's
-     * route table once. Must be called once before the first exchange.
+     * Allocate the receive buffer on every PE. Must be called once
+     * before the first exchange.
      */
     void setup();
 
@@ -157,13 +154,6 @@ class StarComm
 
     /** Aggregate statistics, summed across PEs on each call. */
     const StarCommStats &stats() const;
-
-    /**
-     * The site's route table, one color per direction of travel. Routes
-     * do not depend on the PE, so one table describes every PE; it
-     * documents the configuration and is not consulted by the fabric.
-     */
-    const wse::Router &routes() const;
 
     /** Expected number of arriving sections for PE (x, y); 0 marks a
      *  boundary (non-computing) PE. */
@@ -265,8 +255,6 @@ class StarComm
     std::vector<int> expected_;
     /** Deliveries grouped by travel direction (derived from config). */
     std::vector<PlanEntry> plan_;
-    /** The site's route table (built by setup()). */
-    wse::Router routes_;
     /** Merged-stats cache refreshed by stats(). */
     mutable StarCommStats statsCache_;
     bool setupDone_ = false;

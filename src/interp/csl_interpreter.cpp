@@ -536,7 +536,6 @@ CslProgramInstance::configure()
         config.trimLast = spec.trimLast;
         config.coeffs = spec.coeffs;
         config.recvBufferName = spec.recvBufferName;
-        config.baseColor = static_cast<wse::Color>(4 * i);
         comms_.push_back(
             std::make_unique<comms::StarComm>(sim_, config));
         commSiteOf_[commsOps[i]] = i;

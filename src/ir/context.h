@@ -246,7 +246,7 @@ class Context
      * Recycle this context for its next compile: drops every interned
      * type/attribute/attr-name, the diagnostic state and the arena
      * contents wholesale — without releasing the arena's pages — so a
-     * pooled context (service/context_pool.h) serves repeat compiles
+     * compile-service worker's context serves repeat compiles
      * with zero page re-faulting and plateaued memory.
      *
      * What survives a reset: the op registry, the loaded-dialect marks

@@ -42,7 +42,7 @@ struct SimConfig
     /** Fabric dimensions the simulation ran on. */
     int nx = 0;
     int ny = 0;
-    /** Event budget passed to Simulator::run. */
+    /** Event budget passed to Simulator::runWithReport. */
     uint64_t cycleBudget = 0;
     /** Final simulated cycle (the golden-lock quantity). */
     uint64_t finalCycle = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "dialects/all.h"
@@ -92,6 +93,47 @@ summarize(const ir::PipelineResult &result)
     return out;
 }
 
+/**
+ * Simulate the compiled `module` as `request.sim` asks and record the
+ * run in `out`. Returns why the simulation failed — a FatalError or
+ * PanicError while building or configuring it, or the diagnosis of a
+ * run that did not complete — or an empty string on success.
+ */
+std::string
+simulate(ir::Operation *module, const CompileRequest &request,
+         SimConfig &out)
+{
+    try {
+        wse::Simulator sim(request.arch, request.sim.nx, request.sim.ny);
+        interp::CslProgramInstance instance(sim, module);
+        for (size_t f = 0; f < request.sim.fields.size(); ++f) {
+            int fi = static_cast<int>(f);
+            auto init = request.sim.init;
+            instance.setFieldInit(request.sim.fields[f],
+                                  [init, fi](int x, int y, int z) {
+                                      return init(fi, x, y, z);
+                                  });
+        }
+        instance.configure();
+        instance.launch();
+        const wse::SimReport &report =
+            sim.runWithReport(request.sim.cycleBudget);
+        if (report.outcome != wse::SimOutcome::Completed)
+            return report.diagnosis.toString();
+        out.simulated = true;
+        out.nx = request.sim.nx;
+        out.ny = request.sim.ny;
+        out.cycleBudget = request.sim.cycleBudget;
+        out.finalCycle = report.finalCycle;
+        out.unblocks = instance.unblockCount();
+        return {};
+    } catch (const FatalError &e) {
+        return e.what();
+    } catch (const PanicError &e) {
+        return std::string("internal error: ") + e.what();
+    }
+}
+
 } // namespace
 
 CacheKey
@@ -107,15 +149,9 @@ makeCacheKey(const ir::ModuleFingerprint &fp, const CompileRequest &request)
 }
 
 CompileService::CompileService(ServiceConfig config)
-    : config_(std::move(config)),
-      pool_(config_.contextSetup
-                ? config_.contextSetup
-                : [](ir::Context &ctx) {
-                      dialects::registerAllDialects(ctx);
-                  }),
-      cache_(config_.cacheCapacity)
+    : cache_(config.cacheCapacity)
 {
-    int threads = std::max(1, config_.threads);
+    int threads = std::max(1, config.threads);
     workers_.reserve(threads);
     for (int i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -152,6 +188,9 @@ CompileService::submit(CompileRequest request)
 void
 CompileService::workerLoop()
 {
+    // Built on the worker's first job rather than by the constructor,
+    // so constructing the service costs no more than spawning threads.
+    std::optional<ir::Context> ctx;
     for (;;) {
         Job job;
         {
@@ -164,7 +203,15 @@ CompileService::workerLoop()
             queue_.pop_front();
         }
         auto picked = std::chrono::steady_clock::now();
-        CompileReply reply = runJob(std::move(job.request));
+        if (ctx) {
+            contextsRecycled_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            ctx.emplace();
+            dialects::registerAllDialects(*ctx);
+            contextsCreated_.fetch_add(1, std::memory_order_relaxed);
+        }
+        CompileReply reply = runJob(*ctx, std::move(job.request));
+        ctx->reset();
         reply.queueMicros =
             std::chrono::duration<double, std::micro>(picked -
                                                       job.enqueued)
@@ -181,110 +228,94 @@ CompileService::workerLoop()
 }
 
 CompileReply
-CompileService::runJob(CompileRequest request)
+CompileService::runJob(ir::Context &ctx, CompileRequest request)
 {
     CompileReply reply;
     reply.name = request.name;
 
-    // Destruction order matters: the module (arena-backed) must die
-    // before the collector pops its handler, which must happen before
-    // the lease resets the context.
-    ContextPool::Lease ctx = pool_.acquire();
-    {
-        ir::DiagnosticCollector collector(*ctx);
-        ir::OwningOp module;
-        const char *stage = "frontend";
-        try {
-            module = request.build(*ctx);
-        } catch (ir::DiagnosedError &e) {
-            if (e.hasDiagnostic())
-                ctx->diagnostics().report(e.takeDiagnostic());
-            // else: already reported through the engine.
-        } catch (const FatalError &e) {
-            ctx->diagnostics().report(
-                ir::Diagnostic(ir::Severity::Error, e.what()));
-        } catch (const PanicError &e) {
-            // Invariant violation inside a frontend: same conversion the
-            // pass manager applies — an "internal error" diagnostic, not
-            // a dead worker.
-            ctx->diagnostics().report(ir::Diagnostic(
-                ir::Severity::Error,
-                std::string("internal error: ") + e.what()));
-        }
-
-        if (module && config_.verifyFrontendOutput &&
-            ir::failed(ir::verify(module.get()))) {
-            stage = "verify";
-            module = ir::OwningOp();
-        }
-
-        if (!module) {
-            reply.pipeline.succeeded = false;
-            reply.pipeline.failedPass = stage;
-            reply.pipeline.diagnostics = collector.take();
-            for (ir::Diagnostic &d : reply.pipeline.diagnostics)
-                if (d.pass.empty())
-                    d.pass = stage;
-            reply.error = summarize(reply.pipeline);
-            return reply;
-        }
-
-        ir::ModuleFingerprint fp = ir::fingerprintModule(module.get());
-        reply.key = makeCacheKey(fp, request);
-
-        if (!request.bypassCache) {
-            std::shared_ptr<const CompileArtifact> hit =
-                cache_.lookup(reply.key);
-            // A hit recorded without simulation cannot serve a request
-            // that wants one; recompile and overwrite it.
-            if (hit && (!request.sim.run || hit->sim.simulated)) {
-                reply.ok = true;
-                reply.cacheHit = true;
-                reply.artifact = std::move(hit);
-                return reply;
-            }
-        }
-
-        reply.pipeline =
-            transforms::runPipeline(module.get(), request.options);
-        if (!reply.pipeline) {
-            reply.error = summarize(reply.pipeline);
-            return reply;
-        }
-
-        auto artifact = std::make_shared<CompileArtifact>();
-        artifact->moduleFp = fp;
-        artifact->optionsHash = request.options.fingerprint();
-        artifact->csl = codegen::emitCsl(module.get());
-
-        if (request.sim.run) {
-            wse::Simulator sim(request.arch, request.sim.nx,
-                               request.sim.ny);
-            interp::CslProgramInstance instance(sim, module.get());
-            for (size_t f = 0; f < request.sim.fields.size(); ++f) {
-                int fi = static_cast<int>(f);
-                auto init = request.sim.init;
-                instance.setFieldInit(
-                    request.sim.fields[f],
-                    [init, fi](int x, int y, int z) {
-                        return init(fi, x, y, z);
-                    });
-            }
-            instance.configure();
-            instance.launch();
-            artifact->sim.simulated = true;
-            artifact->sim.nx = request.sim.nx;
-            artifact->sim.ny = request.sim.ny;
-            artifact->sim.cycleBudget = request.sim.cycleBudget;
-            artifact->sim.finalCycle = sim.run(request.sim.cycleBudget);
-            artifact->sim.unblocks = instance.unblockCount();
-        }
-
-        if (!request.bypassCache)
-            cache_.insert(reply.key, artifact);
-        reply.ok = true;
-        reply.artifact = std::move(artifact);
+    // Declaration order matters: the module (arena-backed) must die
+    // before the collector pops its handler, and both before the caller
+    // resets the context.
+    ir::DiagnosticCollector collector(ctx);
+    ir::OwningOp module;
+    const char *stage = "frontend";
+    try {
+        module = request.build(ctx);
+    } catch (ir::DiagnosedError &e) {
+        if (e.hasDiagnostic())
+            ctx.diagnostics().report(e.takeDiagnostic());
+        // else: already reported through the engine.
+    } catch (const FatalError &e) {
+        ctx.diagnostics().report(
+            ir::Diagnostic(ir::Severity::Error, e.what()));
+    } catch (const PanicError &e) {
+        // Invariant violation inside a frontend: same conversion the
+        // pass manager applies — an "internal error" diagnostic, not a
+        // dead worker.
+        ctx.diagnostics().report(ir::Diagnostic(
+            ir::Severity::Error,
+            std::string("internal error: ") + e.what()));
     }
+
+    if (module && ir::failed(ir::verify(module.get()))) {
+        stage = "verify";
+        module = ir::OwningOp();
+    }
+
+    if (!module) {
+        reply.pipeline.succeeded = false;
+        reply.pipeline.failedPass = stage;
+        reply.pipeline.diagnostics = collector.take();
+        for (ir::Diagnostic &d : reply.pipeline.diagnostics)
+            if (d.pass.empty())
+                d.pass = stage;
+        reply.error = summarize(reply.pipeline);
+        return reply;
+    }
+
+    ir::ModuleFingerprint fp = ir::fingerprintModule(module.get());
+    reply.key = makeCacheKey(fp, request);
+
+    if (!request.bypassCache) {
+        std::shared_ptr<const CompileArtifact> hit = cache_.lookup(reply.key);
+        // A hit recorded without simulation cannot serve a request that
+        // wants one; recompile and overwrite it.
+        if (hit && (!request.sim.run || hit->sim.simulated)) {
+            reply.ok = true;
+            reply.cacheHit = true;
+            reply.artifact = std::move(hit);
+            return reply;
+        }
+    }
+
+    reply.pipeline = transforms::runPipeline(module.get(), request.options);
+    if (!reply.pipeline) {
+        reply.error = summarize(reply.pipeline);
+        return reply;
+    }
+
+    auto artifact = std::make_shared<CompileArtifact>();
+    artifact->moduleFp = fp;
+    artifact->optionsHash = request.options.fingerprint();
+    artifact->csl = codegen::emitCsl(module.get());
+
+    if (request.sim.run) {
+        std::string failure = simulate(module.get(), request, artifact->sim);
+        if (!failure.empty()) {
+            ir::Diagnostic d(ir::Severity::Error, std::move(failure));
+            d.pass = "simulate";
+            reply.pipeline.succeeded = false;
+            reply.pipeline.failedPass = "simulate";
+            reply.pipeline.diagnostics.push_back(std::move(d));
+            reply.error = summarize(reply.pipeline);
+            return reply;
+        }
+    }
+
+    if (!request.bypassCache)
+        cache_.insert(reply.key, artifact);
+    reply.ok = true;
+    reply.artifact = std::move(artifact);
     return reply;
 }
 
@@ -297,8 +328,8 @@ CompileService::stats() const
     s.succeeded = succeeded_.load(std::memory_order_relaxed);
     s.failed = failed_.load(std::memory_order_relaxed);
     s.cache = cache_.stats();
-    s.contextsCreated = pool_.created();
-    s.contextsRecycled = pool_.recycled();
+    s.contextsCreated = contextsCreated_.load(std::memory_order_relaxed);
+    s.contextsRecycled = contextsRecycled_.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -5,12 +5,13 @@
  *
  * Architecture (docs/architecture.md §7):
  *
- *  - A fixed pool of worker threads drains a FIFO job queue. Each job
- *    owns exactly one ir::Context for its duration, leased from a
- *    recycling ContextPool: Context::reset() drops the previous job's
- *    IR wholesale (arena rewind, intern pools cleared) while keeping
- *    the arena's pages and the op registry, so steady-state jobs pay
- *    no page faults and no dialect re-registration.
+ *  - A fixed pool of worker threads drains a FIFO job queue. Each
+ *    worker owns one ir::Context, built (dialects registered) on its
+ *    first job and recycled with Context::reset() after every job:
+ *    the reset drops the job's IR wholesale (arena rewind, intern pools
+ *    cleared) while keeping the arena's pages and the op registry, so
+ *    steady-state jobs pay no page faults and no dialect
+ *    re-registration.
  *
  *  - Finished artifacts (emitted CSL bytes + simulation config) go
  *    into a content-addressed ArtifactCache keyed by the structural
@@ -24,7 +25,9 @@
  *    the rendered diagnostics carried in CompileReply::pipeline, while
  *    the worker thread and its recycled context stay fully reusable —
  *    the next job on the same context must produce byte-identical
- *    output to a cold compile, which `ctest -L service` asserts.
+ *    output to a cold compile, which `ctest -L service` asserts. A
+ *    simulation that cannot be built or does not complete is a failed
+ *    reply too, and is never cached.
  */
 
 #ifndef WSC_SERVICE_COMPILE_SERVICE_H
@@ -45,7 +48,6 @@
 
 #include "ir/pass.h"
 #include "service/artifact_cache.h"
-#include "service/context_pool.h"
 #include "transforms/pipeline.h"
 #include "wse/arch_params.h"
 
@@ -66,7 +68,7 @@ struct SimRequest
     /** Fabric dimensions to instantiate. */
     int nx = 0;
     int ny = 0;
-    /** Event budget for Simulator::run. */
+    /** Event budget for Simulator::runWithReport. */
     uint64_t cycleBudget = 4000000000ULL;
     /** Field names to initialize, in index order. */
     std::vector<std::string> fields;
@@ -106,7 +108,8 @@ struct CompileReply
     /**
      * The pipeline outcome, diagnostics included (PR 7's
      * PipelineResult, plumbed through the service verbatim). On
-     * frontend/verifier failures `failedPass` is "frontend"/"verify".
+     * frontend/verifier/simulation failures `failedPass` is
+     * "frontend"/"verify"/"simulate".
      * Untouched (succeeded, empty) for cache hits.
      */
     ir::PipelineResult pipeline;
@@ -127,13 +130,6 @@ struct ServiceConfig
     int threads = 1;
     /** Artifact-cache capacity bound (entries). */
     size_t cacheCapacity = 1024;
-    /** Run the IR verifier on frontend output before the pipeline. */
-    bool verifyFrontendOutput = true;
-    /**
-     * Per-context setup for fresh pool contexts; defaults to
-     * dialects::registerAllDialects when left empty.
-     */
-    std::function<void(ir::Context &)> contextSetup;
 };
 
 /** Monotonic service counters (one snapshot; relaxed reads). */
@@ -144,7 +140,9 @@ struct ServiceStats
     uint64_t succeeded = 0;
     uint64_t failed = 0;
     CacheStats cache;
+    /** Jobs that built their worker's context (at most one per worker). */
     uint64_t contextsCreated = 0;
+    /** Jobs that ran on a context recycled from an earlier job. */
     uint64_t contextsRecycled = 0;
 };
 
@@ -172,8 +170,6 @@ class CompileService
 
     /** The artifact cache (test introspection). */
     ArtifactCache &cache() { return cache_; }
-    /** The context pool (test introspection). */
-    ContextPool &contextPool() { return pool_; }
 
     int threads() const { return static_cast<int>(workers_.size()); }
 
@@ -186,10 +182,8 @@ class CompileService
     };
 
     void workerLoop();
-    CompileReply runJob(CompileRequest request);
+    CompileReply runJob(ir::Context &ctx, CompileRequest request);
 
-    ServiceConfig config_;
-    ContextPool pool_;
     ArtifactCache cache_;
 
     std::mutex mu_;
@@ -202,6 +196,8 @@ class CompileService
     std::atomic<uint64_t> completed_{0};
     std::atomic<uint64_t> succeeded_{0};
     std::atomic<uint64_t> failed_{0};
+    std::atomic<uint64_t> contextsCreated_{0};
+    std::atomic<uint64_t> contextsRecycled_{0};
 };
 
 /**

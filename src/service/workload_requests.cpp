@@ -10,7 +10,7 @@ benchmarkRequest(const fe::Benchmark &bench, bool simulate, int nx, int ny)
     CompileRequest request;
     request.name = bench.name;
     // The Program (expression trees, grid, field names) is tiny and
-    // context-free; each job re-emits it into its own leased context.
+    // context-free; each job re-emits it into its worker's context.
     fe::Program program = bench.program;
     request.build = [program](ir::Context &ctx) {
         return program.emit(ctx);

@@ -89,7 +89,7 @@ runPipeline(ir::Operation *module, const PipelineOptions &options)
 {
     ir::PassManager pm = buildPipeline(options);
     ir::PipelineResult result = pm.run(module);
-    if (options.dumpPatternStats || ir::patternStatsRequested())
+    if (ir::patternStatsRequested())
         ir::dumpPatternStats(std::cerr);
     return result;
 }

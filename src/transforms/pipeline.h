@@ -28,20 +28,14 @@ struct PipelineOptions
     int64_t forceNumChunks = 0;
     /** Verify the IR after every pass. */
     bool verifyEach = true;
-    /**
-     * Dump the worklist driver's per-pattern hit/miss counters to
-     * stderr after the pipeline runs (also enabled by setting the
-     * WSC_PATTERN_STATS environment variable).
-     */
-    bool dumpPatternStats = false;
 
     /**
      * Stable hash over every option that can change the emitted
      * artifact. Folded into the compile service's cache key alongside
      * the module fingerprint (ir/module_hash.h) so two requests for the
      * same module under different ablation toggles or chunking budgets
-     * never collide. Observability-only knobs (verifyEach,
-     * dumpPatternStats) are deliberately excluded.
+     * never collide. The observability-only verifyEach is deliberately
+     * excluded.
      */
     uint64_t fingerprint() const;
 };

@@ -161,12 +161,6 @@ Fabric::collectBusyLinks(Cycles after, size_t maxRows,
     }
 }
 
-uint64_t
-Fabric::waveletHops() const
-{
-    return sim_.fabricHops();
-}
-
 Cycles
 Fabric::switchReconfig(int x, int y, Direction dir, Cycles notBefore)
 {

@@ -128,9 +128,6 @@ class Fabric
     /** Next free cycle of the outgoing link at (x, y) towards dir. */
     Cycles linkFree(int x, int y, Direction dir) const;
 
-    /** Total wavelet-hops carried so far (summed across shards). */
-    uint64_t waveletHops() const;
-
     /**
      * Install the fault plan's link failure/degradation tables and
      * per-link payload fault schedules (called once by the Simulator

@@ -296,7 +296,6 @@ Pe::dispatchPending()
     // Charge the consumed core time onto the work timeline.
     if (ctx.consumed() > 0)
         reserveWork(start, ctx.consumed());
-    busyCycles_ += p.taskActivateCycles + ctx.consumed();
 
     if (!pending_.empty()) {
         dispatchScheduled_ = true;
@@ -323,13 +322,6 @@ Pe::taskName(int32_t taskIdx) const
                    static_cast<size_t>(taskIdx) < tasks_.size(),
                "invalid task index " << taskIdx);
     return tasks_[static_cast<size_t>(taskIdx)].name.str();
-}
-
-void
-Pe::resetStats()
-{
-    taskActivations_ = 0;
-    busyCycles_ = 0;
 }
 
 } // namespace wsc::wse

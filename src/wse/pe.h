@@ -298,8 +298,6 @@ class Pe
     /// @name Per-PE statistics
     /// @{
     uint64_t taskActivations() const { return taskActivations_; }
-    Cycles busyCycles() const { return busyCycles_; }
-    void resetStats();
     /// @}
 
   private:
@@ -373,7 +371,6 @@ class Pe
     bool dispatching_ = false;
     Cycles workFree_ = 0;
     uint64_t taskActivations_ = 0;
-    Cycles busyCycles_ = 0;
     /** Fault thresholds (defaults injected nothing; see wse/fault.h). */
     Cycles haltAt_ = ~static_cast<Cycles>(0);
     Cycles stutterFrom_ = 0;

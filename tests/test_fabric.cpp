@@ -180,7 +180,7 @@ TEST_F(FabricTest, WaveletStatsCountHops)
     sim.run();
     // 2 wavelets over 3 hops.
     EXPECT_EQ(sim.stats().waveletsSent, 6u);
-    EXPECT_EQ(sim.fabric().waveletHops(), 6u);
+    EXPECT_EQ(sim.fabricHops(), 6u);
 }
 
 TEST_F(FabricTest, PayloadIsSnapshottedPerDelivery)

@@ -8,7 +8,7 @@
  * cold single-threaded compile of the same request, and malformed
  * requests must fail their own job with exactly the diagnostics the
  * single-shot PR 7 corpus locks in, without poisoning the worker or
- * its context. Run under the tsan preset to prove the cache and pool
+ * its context. Run under the tsan preset to prove the cache and queue
  * synchronization.
  */
 
@@ -274,8 +274,12 @@ runDifferentialStress(int threads, int rounds)
     EXPECT_EQ(stats.completed, stats.submitted);
     EXPECT_EQ(stats.failed,
               static_cast<uint64_t>(2 * rounds * workloads.size()));
+    // One context per worker, built on its first job and recycled for
+    // every later one.
     EXPECT_LE(stats.contextsCreated,
               static_cast<uint64_t>(threads));
+    EXPECT_EQ(stats.contextsCreated + stats.contextsRecycled,
+              stats.completed);
     EXPECT_GT(stats.contextsRecycled, 0u);
     if (threads == 1) {
         // Serial FIFO: every workload round after the first is a hit.
@@ -393,6 +397,74 @@ TEST(ServiceFailureTest, VerifierRejectionIsAFailedReply)
     ASSERT_NE(replyError(reply), nullptr);
     EXPECT_NE(replyError(reply)->message.find("value attribute"),
               std::string::npos);
+}
+
+//===----------------------------------------------------------------------===
+// Failure semantics: a simulation that cannot run or complete is a
+// failed reply, never a dead service
+//===----------------------------------------------------------------------===
+
+/** The Jacobian workload as a request simulated on its own grid. */
+service::CompileRequest
+simulatingRequest()
+{
+    return service::allWorkloadRequests(kNx, kNy, kSteps, true)[0];
+}
+
+/**
+ * Run `bad`, a simulating request whose simulation fails, on a 1-worker
+ * service. The reply fails in "simulate" with a diagnostic containing
+ * `expect`, nothing is cached, and a valid simulating compile on the
+ * same worker still matches the cold oracle.
+ */
+void
+expectSimulationFailure(service::CompileRequest bad,
+                        const std::string &expect)
+{
+    service::CompileService svc;
+    service::CompileReply reply = svc.compile(std::move(bad));
+    ASSERT_FALSE(reply.ok);
+    EXPECT_EQ(reply.artifact, nullptr);
+    EXPECT_EQ(reply.pipeline.failedPass, "simulate");
+    const ir::Diagnostic *err = replyError(reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->pass, "simulate");
+    EXPECT_NE(err->message.find(expect), std::string::npos)
+        << err->message;
+    EXPECT_NE(reply.error.find("simulate"), std::string::npos)
+        << reply.error;
+    EXPECT_EQ(svc.cache().size(), 0u);
+
+    service::CompileRequest good = simulatingRequest();
+    codegen::EmittedCsl cold = coldCompile(good);
+    service::CompileReply ok = svc.compile(std::move(good));
+    ASSERT_TRUE(ok.ok) << ok.error;
+    ASSERT_TRUE(ok.artifact->sim.simulated);
+    EXPECT_GT(ok.artifact->sim.finalCycle, 0u);
+    expectBytesEqual(ok.artifact->csl, cold);
+    EXPECT_EQ(svc.cache().size(), 1u);
+    EXPECT_EQ(svc.stats().contextsCreated, 1u);
+}
+
+TEST(ServiceFailureTest, EmptySimulationGridIsAFailedReply)
+{
+    service::CompileRequest bad = simulatingRequest();
+    bad.sim.nx = 0;
+    expectSimulationFailure(std::move(bad), "empty PE grid");
+}
+
+TEST(ServiceFailureTest, SimulationGridBeyondTheFabricIsAFailedReply)
+{
+    service::CompileRequest bad = simulatingRequest();
+    bad.sim.nx = 100000;
+    expectSimulationFailure(std::move(bad), "exceeds the");
+}
+
+TEST(ServiceFailureTest, ExhaustedEventBudgetIsAFailedReply)
+{
+    service::CompileRequest bad = simulatingRequest();
+    bad.sim.cycleBudget = 10;
+    expectSimulationFailure(std::move(bad), "event-budget-exceeded");
 }
 
 //===----------------------------------------------------------------------===
@@ -642,32 +714,23 @@ TEST(ServiceResetTest, ResetRefusesWithHandlerInstalled)
     EXPECT_THROW(ctx.reset(), PanicError);
 }
 
-TEST(ServiceResetTest, PoolRecyclesInsteadOfCreating)
+TEST(ServiceResetTest, WorkerBuildsOneContextThenRecyclesIt)
 {
-    int setups = 0;
-    service::ContextPool pool(
-        [&setups](ir::Context &ctx) {
-            ++setups;
-            dialects::registerAllDialects(ctx);
-        });
-    {
-        service::ContextPool::Lease lease = pool.acquire();
-        fe::Benchmark bench = fe::makeDiffusion(kNx, kNy, kSteps, 16);
-        ir::OwningOp module = bench.program.emit(*lease);
-        EXPECT_TRUE(ir::succeeded(ir::verify(module.get())));
-    }
-    EXPECT_EQ(pool.idle(), 1u);
-    {
-        service::ContextPool::Lease lease = pool.acquire();
-        // The recycled context still has its dialects registered (the
-        // op registry survives reset): emission works with no setup.
-        fe::Benchmark bench = fe::makeJacobian(kNx, kNy, kSteps, 24);
-        ir::OwningOp module = bench.program.emit(*lease);
-        EXPECT_TRUE(ir::succeeded(ir::verify(module.get())));
-    }
-    EXPECT_EQ(setups, 1);
-    EXPECT_EQ(pool.created(), 1u);
-    EXPECT_EQ(pool.recycled(), 1u);
+    service::CompileService svc; // one worker
+    EXPECT_EQ(svc.stats().contextsCreated, 0u); // built on the first job
+
+    // The second workload runs on the recycled context: its dialects
+    // survive reset(), so emission needs no new setup.
+    service::CompileReply first = svc.compile(service::benchmarkRequest(
+        fe::makeDiffusion(kNx, kNy, kSteps, 16)));
+    ASSERT_TRUE(first.ok) << first.error;
+    service::CompileReply second = svc.compile(service::benchmarkRequest(
+        fe::makeJacobian(kNx, kNy, kSteps, 24)));
+    ASSERT_TRUE(second.ok) << second.error;
+
+    service::ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.contextsCreated, 1u);
+    EXPECT_EQ(stats.contextsRecycled, 1u);
 }
 
 } // namespace

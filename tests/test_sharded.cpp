@@ -75,7 +75,7 @@ runWorkloadOpts(ir::Operation *module, fe::Benchmark &bench, int nx,
     RunResult r;
     r.finalCycle = sim.run(4000000000ULL);
     r.stats = sim.stats();
-    r.fabricHops = sim.fabric().waveletHops();
+    r.fabricHops = sim.fabricHops();
     r.unblocks = instance.unblockCount();
     const std::string &field = bench.program.fieldName(0);
     for (int x = 0; x < nx; ++x)

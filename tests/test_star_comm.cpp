@@ -275,14 +275,6 @@ TEST_F(StarCommTest, AccessesMustBeCanonical)
     EXPECT_THROW(StarComm(s, config), PanicError);
 }
 
-TEST_F(StarCommTest, RoutersAreConfiguredForAllTravelDirections)
-{
-    build(3, 3, fourNeighbourConfig(6));
-    const wse::Router &router = comm->routes();
-    for (int c = 0; c < 4; ++c)
-        EXPECT_TRUE(router.hasRoute(static_cast<wse::Color>(c)));
-}
-
 TEST_F(StarCommTest, Wse2ExchangeTakesLongerThanWse3)
 {
     build(3, 3, fourNeighbourConfig(64), ArchParams::wse3());
