@@ -612,7 +612,7 @@ CslProgramInstance::configure()
     if (!referenceMode_) {
         resolveVarTable(sim_.pe(0, 0));
         varSlots_.resize(numPes * varNames_.size());
-        peRts_.resize(numPes);
+        frames_.resize(static_cast<size_t>(sim_.shardCount()));
     }
     for (int x = 0; x < sim_.width(); ++x) {
         for (int y = 0; y < sim_.height(); ++y) {
@@ -644,10 +644,9 @@ CslProgramInstance::configure()
             if (referenceMode_)
                 continue;
 
-            PeRt &rt = peRts_[pe.id()];
-            rt.vars = varSlots_.data() + pe.id() * varNames_.size();
+            VarSlot *vars = varSlots_.data() + pe.id() * varNames_.size();
             for (size_t i = 0; i < varNames_.size(); ++i) {
-                VarSlot &slot = rt.vars[i];
+                VarSlot &slot = vars[i];
                 if (bufferId_[i].valid())
                     slot.data = &pe.buffer(bufferId_[i]);
                 slot.ptrTarget = ptrInit_[i];
@@ -757,7 +756,8 @@ CslProgramInstance::runTask(int idx, wse::TaskContext &ctx)
         return;
     }
     const CompiledBody &cb = bodies_[static_cast<size_t>(idx)];
-    PeRt &rt = peRts_[peIdx];
+    PeRt rt{varSlots_.data() + peIdx * varNames_.size(),
+            frames_[static_cast<size_t>(ctx.pe().shard().index())]};
     std::vector<RtValue> slots = rt.frames.acquire(cb.numSlots);
     if (c.wantsOffset) {
         RtValue &offset = slots[cb.argSlots[0]];
@@ -802,9 +802,9 @@ CslProgramInstance::frameStats() const
 {
     uint64_t acquires = 0;
     uint64_t fresh = 0;
-    for (const PeRt &rt : peRts_) {
-        acquires += rt.frames.acquires;
-        fresh += rt.frames.fresh;
+    for (const FrameStack &frames : frames_) {
+        acquires += frames.acquires;
+        fresh += frames.fresh;
     }
     return {acquires, fresh};
 }
@@ -1271,7 +1271,8 @@ CslProgramInstance::readFieldColumn(const std::string &field, int x, int y)
                    "unknown pointer variable `" << rf->var << "`");
         if (rf->viaPtr)
             return pe.buffer(
-                peRts_[pe.id()].vars[rf->varIdx].ptrTarget);
+                varSlots_[pe.id() * varNames_.size() + rf->varIdx]
+                    .ptrTarget);
         if (rf->varIdx >= 0 && bufferId_[rf->varIdx].valid())
             return pe.buffer(bufferId_[rf->varIdx]);
         return pe.buffer(rf->var);

@@ -16,9 +16,9 @@
  * the same names in the same order, so the task, buffer and scalar
  * handles are the same on every PE: they are resolved once and checked
  * per PE. The per-PE loop then touches no IR attribute, string or map,
- * and a PE keeps only its buffer data pointers, pointer targets and
- * activation frames. The single switch dispatch loop performs no name
- * lookups or validity checks.
+ * and a PE keeps only its buffer data pointers and pointer targets;
+ * activation frames come from one recycled stack per shard. The single
+ * switch dispatch loop performs no name lookups or validity checks.
  *
  * The original tree-walking evaluator is kept behind
  * setReferenceMode(true) as the semantic oracle: the compiled loop must
@@ -93,8 +93,9 @@ class CslProgramInstance
         return unblockCount_.load(std::memory_order_relaxed);
     }
 
-    /** Frame-arena telemetry summed over PEs: (acquires, heap-backed
-     *  frames created). Steady state acquires without creating. */
+    /** Frame-arena telemetry summed over the shards' frame stacks:
+     *  (acquires, heap-backed frames created). Steady state acquires
+     *  without creating. */
     std::pair<uint64_t, uint64_t> frameStats() const;
 
     /** Dispatch timestamps of for_cond0 on a PE (per-step markers). */
@@ -244,10 +245,12 @@ class CslProgramInstance
      * Recycled stack of RtValue slot frames: the exec loop gets its
      * frame from here instead of constructing a std::vector per
      * activation — after warmup, task dispatch performs zero heap
-     * allocations. Frames are vectors so nested activations (csl.call)
-     * simply pop another one; released frames keep their capacity.
+     * allocations. There is one stack per shard: a shard runs one event
+     * at a time on one worker, so its activations (and their nested
+     * csl.call frames) are strictly LIFO. Released frames keep their
+     * capacity. Aligned so two shards' stacks share no cache line.
      */
-    struct FrameStack
+    struct alignas(64) FrameStack
     {
         std::vector<std::vector<RtValue>> pool;
         uint64_t acquires = 0;
@@ -275,13 +278,12 @@ class CslProgramInstance
         std::vector<float> *ptrData = nullptr;
     };
 
-    /** Compiled-mode per-PE state: everything else is per program. */
+    /** What the dispatch loop needs of a running activation: its PE's
+     *  row of varSlots_ and its shard's frame stack. */
     struct PeRt
     {
-        /** This PE's row of varSlots_ (one entry per var-table index). */
-        VarSlot *vars = nullptr;
-        /** Recycled activation frames (see FrameStack). */
-        FrameStack frames;
+        VarSlot *vars;
+        FrameStack &frames;
     };
 
     class Compiler;
@@ -376,7 +378,8 @@ class CslProgramInstance
     /** Per-PE state: PE p's var slots are varSlots_[p * varNames_.size()
      *  ...], allocated once for the whole grid. */
     std::vector<VarSlot> varSlots_;
-    std::vector<PeRt> peRts_;
+    /** Activation frames, one stack per shard (see FrameStack). */
+    std::vector<FrameStack> frames_;
     /// @}
 };
 

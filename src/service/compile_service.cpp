@@ -95,9 +95,9 @@ summarize(const ir::PipelineResult &result)
 
 /**
  * Simulate the compiled `module` as `request.sim` asks and record the
- * run in `out`. Returns why the simulation failed — a FatalError or
- * PanicError while building or configuring it, or the diagnosis of a
- * run that did not complete — or an empty string on success.
+ * run in `out`. Returns why the simulation failed — any exception while
+ * building, configuring or running it, or the diagnosis of a run that
+ * did not complete — or an empty string on success.
  */
 std::string
 simulate(ir::Operation *module, const CompileRequest &request,
@@ -131,6 +131,11 @@ simulate(ir::Operation *module, const CompileRequest &request,
         return e.what();
     } catch (const PanicError &e) {
         return std::string("internal error: ") + e.what();
+    } catch (const std::exception &e) {
+        // E.g. a throwing SimRequest::init, called by configure().
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
     }
 }
 
@@ -255,6 +260,14 @@ CompileService::runJob(ir::Context &ctx, CompileRequest request)
         ctx.diagnostics().report(ir::Diagnostic(
             ir::Severity::Error,
             std::string("internal error: ") + e.what()));
+    } catch (const std::exception &e) {
+        // Anything else a build callback throws fails this job only: an
+        // exception escaping the worker thread would end the process.
+        ctx.diagnostics().report(
+            ir::Diagnostic(ir::Severity::Error, e.what()));
+    } catch (...) {
+        ctx.diagnostics().report(
+            ir::Diagnostic(ir::Severity::Error, "unknown exception"));
     }
 
     if (module && ir::failed(ir::verify(module.get()))) {

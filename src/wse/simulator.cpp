@@ -51,12 +51,18 @@ Shard::Shard(Simulator &sim, int index)
     freeSlots_.reserve(kInitialQueueCapacity);
 }
 
+// A 4-ary min-heap: half the depth of a binary heap, and the four
+// children a sift-down compares are adjacent in memory. Keys are unique
+// (each creator draws seq from one shard's monotone counter), so the pop
+// order is exactly the total order before().
+constexpr size_t kHeapArity = 4;
+
 void
 Shard::siftUp(size_t i)
 {
     EventKey key = heap_[i];
     while (i > 0) {
-        size_t parent = (i - 1) / 2;
+        size_t parent = (i - 1) / kHeapArity;
         if (!before(key, heap_[parent]))
             break;
         heap_[i] = heap_[parent];
@@ -71,11 +77,14 @@ Shard::siftDown(size_t i)
     const size_t n = heap_.size();
     EventKey key = heap_[i];
     for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= n)
+        size_t first = kHeapArity * i + 1;
+        if (first >= n)
             break;
-        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
-            child++;
+        size_t child = first;
+        size_t last = std::min(first + kHeapArity, n);
+        for (size_t c = first + 1; c < last; ++c)
+            if (before(heap_[c], heap_[child]))
+                child = c;
         if (!before(heap_[child], key))
             break;
         heap_[i] = heap_[child];
@@ -111,37 +120,31 @@ Shard::push(uint32_t owner, Cycles at, EventCallback fn)
 }
 
 void
-Shard::step()
-{
-    EventKey top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-    now_ = top.at;
-    currentOwner_ = static_cast<uint32_t>(top.ownerCreator >> 32);
-    stats_.eventsProcessed++;
-    processed_++;
-    // Move the callback out before invoking: the callback may schedule
-    // new events, which can grow (and relocate) the slot pool while it
-    // runs.
-    EventCallback cb = std::move(slots_[top.slot]);
-    freeSlots_.push_back(top.slot);
-    cb();
-}
-
-void
 Shard::runWindow(Cycles end, uint64_t maxEvents)
 {
     while (!heap_.empty() && heap_.front().at < end) {
         // Same-cycle livelocks never return to the barrier where the
         // global budget is summed, so each shard also bounds its own
-        // count (mirrors the sequential path's per-event check). Stop
-        // with the events in place: the barrier detects the exhausted
-        // budget and the diagnosis reads the queues as they stand.
+        // count, checked before every event. Stop with the events in
+        // place: the barrier detects the exhausted budget and the
+        // diagnosis reads the queues as they stand.
         if (processed_ >= maxEvents)
             break;
-        step();
+        EventKey top = heap_.front();
+        heap_.front() = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0);
+        now_ = top.at;
+        currentOwner_ = static_cast<uint32_t>(top.ownerCreator >> 32);
+        stats_.eventsProcessed++;
+        processed_++;
+        // Move the callback out before invoking: the callback may
+        // schedule new events, which can grow (and relocate) the slot
+        // pool while it runs.
+        EventCallback cb = std::move(slots_[top.slot]);
+        freeSlots_.push_back(top.slot);
+        cb();
     }
     currentOwner_ = sim_->hostId();
 }
@@ -413,24 +416,6 @@ Simulator::finishRun()
     return end;
 }
 
-bool
-Simulator::runSequential(uint64_t maxEvents)
-{
-    Shard &shard = *shards_.front();
-    shard.processed_ = 0;
-    TlsGuard tls(this, &shard);
-    bool overBudget = false;
-    while (!shard.heap_.empty()) {
-        if (shard.processed_ >= maxEvents) {
-            overBudget = true; // Diagnosed by runWithReport.
-            break;
-        }
-        shard.step();
-    }
-    shard.currentOwner_ = hostId();
-    return overBudget;
-}
-
 void
 Simulator::runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents)
 {
@@ -446,7 +431,7 @@ Simulator::runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents)
 }
 
 bool
-Simulator::runParallel(uint64_t maxEvents)
+Simulator::runWindows(uint64_t maxEvents)
 {
     for (auto &shard : shards_)
         shard->processed_ = 0;
@@ -508,8 +493,10 @@ Simulator::runParallel(uint64_t maxEvents)
             }
             // No cross-shard event is shorter than one hop, so nothing
             // executed in [minAt, end) can reach a foreign shard before
-            // end (docs/architecture.md §4).
-            const Cycles end = minAt + lookahead_;
+            // end (docs/architecture.md §4). A lone shard has no foreign
+            // shard: its one window is unbounded.
+            const Cycles end =
+                shards_.size() == 1 ? UINT64_MAX : minAt + lookahead_;
             ctl.windowEnd = end;
             windowCount_++;
             for (auto &shard : shards_)
@@ -675,8 +662,7 @@ Simulator::runWithReport(uint64_t maxEvents)
     shardWindowsRun_ = 0;
     for (auto &shard : shards_)
         shard->outboxReallocs_ = 0;
-    bool overBudget = shardCount() == 1 ? runSequential(maxEvents)
-                                        : runParallel(maxEvents);
+    bool overBudget = runWindows(maxEvents);
     report_.finalCycle = finishRun();
     report_.stats = stats();
 

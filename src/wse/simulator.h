@@ -5,19 +5,19 @@
  *
  * The PE grid is partitioned into rows x cols rectangular shard tiles
  * (SimOptions::shardGrid, auto-derived from SimOptions::threads when
- * unset; a single shard runs the classic sequential loop). Each shard
- * owns its own binary min-heap event queue, callback slot pool, payload
- * ring and statistics, so the hot schedule/dispatch paths are entirely
- * shard-local and lock-free.
+ * unset). Each shard owns its own 4-ary min-heap event queue, callback
+ * slot pool, payload ring and statistics, so the hot schedule/dispatch
+ * paths are entirely shard-local and lock-free.
  *
- * Parallel execution uses conservative lock-step windows: every event
- * that crosses a tile boundary (a fabric stream segment handed to the
- * E/W/N/S neighbour tile) carries at least the fabric hop latency, so
- * all shards can safely execute the window [globalMin, globalMin +
- * hopCycles) in parallel. Cross-shard events travel through per-pair
- * SPSC outboxes that are drained into the target heaps at the window
- * barrier (the barrier itself provides the memory synchronisation, so
- * the mailboxes are plain vectors).
+ * Every run uses one loop of conservative lock-step windows: every
+ * event that crosses a tile boundary (a fabric stream segment handed to
+ * the E/W/N/S neighbour tile) carries at least the fabric hop latency,
+ * so all shards can safely execute the window [globalMin, globalMin +
+ * hopCycles) in parallel. A lone shard has no cross-shard events and
+ * runs one unbounded window. Cross-shard events travel through
+ * per-pair SPSC outboxes that are drained into the target heaps at the
+ * window barrier (the barrier itself provides the memory
+ * synchronisation, so the mailboxes are plain vectors).
  *
  * Shards are assigned to workers statically: worker w runs every shard
  * s with s % threads == w, for the whole run. More shards than workers
@@ -98,10 +98,11 @@ struct ShardGrid
 struct SimOptions
 {
     /**
-     * Worker threads. 1 with an unset shardGrid (the default) runs the
-     * exact sequential path; higher values run lock-step conservative
-     * windows with identical (cycle- and stats-identical) results.
-     * Clamped to the shard count — shards are the unit of parallelism.
+     * Worker threads. 1 with an unset shardGrid (the default) runs one
+     * shard in one unbounded window on the calling thread; higher
+     * values run lock-step conservative windows over several shards
+     * with identical (cycle- and stats-identical) results. Clamped to
+     * the shard count — shards are the unit of parallelism.
      */
     int threads = 1;
 
@@ -141,7 +142,8 @@ struct SimOptions
  */
 struct ShardingTelemetry
 {
-    /** Barrier windows executed (0 for the sequential path). */
+    /** Barrier windows executed (a lone shard runs one unbounded
+     *  window per run). */
     uint64_t windows = 0;
     /** Shard-windows executed (shards with work inside a window). */
     uint64_t shardWindowsRun = 0;
@@ -414,8 +416,6 @@ class Shard
     /** Execute events with at < end; returns early (leaving events
      *  queued) once the budget is spent — the caller diagnoses. */
     void runWindow(Cycles end, uint64_t maxEvents);
-    /** Pop and run the next event (sequential path). */
-    void step();
 
     Simulator *sim_;
     int index_;
@@ -428,7 +428,7 @@ class Shard
     /** Owner of the event currently executing (host id when idle);
      *  recorded as the creator of events it schedules. */
     uint32_t currentOwner_;
-    /** Binary min-heap on the deterministic key. */
+    /** 4-ary min-heap on the deterministic key. */
     std::vector<EventKey> heap_;
     /** Callback slot pool; slots are recycled through freeSlots_. */
     std::vector<EventCallback> slots_;
@@ -588,10 +588,10 @@ class Simulator
   private:
     friend class Shard;
 
-    /** Both return true when the run stopped on the event budget with
-     *  events still queued (classified by runWithReport). */
-    bool runSequential(uint64_t maxEvents);
-    bool runParallel(uint64_t maxEvents);
+    /** Run lock-step windows until the queues drain. Returns true when
+     *  the run stopped on the event budget with events still queued
+     *  (classified by runWithReport). */
+    bool runWindows(uint64_t maxEvents);
     Cycles finishRun();
 
     /** Resolve options_.shardGrid (auto-derivation, clamping) and the

@@ -15,6 +15,7 @@
 #include "test_helpers.h"
 
 #include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "codegen/csl_emitter.h"
@@ -379,6 +380,51 @@ TEST(ServiceFailureTest, FrontendPanicBecomesInternalErrorReply)
               std::string::npos);
 }
 
+/**
+ * Run a request whose build callback throws on a 1-worker service. The
+ * reply fails in "frontend" with a diagnostic containing `expect`, and
+ * a valid compile on the same worker still matches the cold oracle.
+ */
+void
+expectFrontendFailure(std::function<ir::OwningOp(ir::Context &)> build,
+                      const std::string &expect)
+{
+    service::CompileService svc;
+    service::CompileRequest request;
+    request.name = "throwing-frontend";
+    request.build = std::move(build);
+    service::CompileReply reply = svc.compile(std::move(request));
+    ASSERT_FALSE(reply.ok);
+    EXPECT_EQ(reply.pipeline.failedPass, "frontend");
+    ASSERT_NE(replyError(reply), nullptr);
+    EXPECT_NE(replyError(reply)->message.find(expect), std::string::npos)
+        << replyError(reply)->message;
+
+    service::CompileRequest good = service::benchmarkRequest(
+        fe::makeDiffusion(kNx, kNy, kSteps, 16));
+    codegen::EmittedCsl cold = coldCompile(good);
+    service::CompileReply ok = svc.compile(std::move(good));
+    ASSERT_TRUE(ok.ok) << ok.error;
+    expectBytesEqual(ok.artifact->csl, cold);
+    EXPECT_EQ(svc.stats().contextsCreated, 1u);
+}
+
+TEST(ServiceFailureTest, FrontendStdExceptionBecomesFailedReply)
+{
+    expectFrontendFailure(
+        [](ir::Context &) -> ir::OwningOp {
+            throw std::out_of_range("frontend index out of range");
+        },
+        "frontend index out of range");
+}
+
+TEST(ServiceFailureTest, FrontendNonStdThrowBecomesFailedReply)
+{
+    expectFrontendFailure(
+        [](ir::Context &) -> ir::OwningOp { throw 42; },
+        "unknown exception");
+}
+
 TEST(ServiceFailureTest, VerifierRejectionIsAFailedReply)
 {
     service::CompileService svc;
@@ -465,6 +511,16 @@ TEST(ServiceFailureTest, ExhaustedEventBudgetIsAFailedReply)
     service::CompileRequest bad = simulatingRequest();
     bad.sim.cycleBudget = 10;
     expectSimulationFailure(std::move(bad), "event-budget-exceeded");
+}
+
+TEST(ServiceFailureTest, ThrowingSimulationInitIsAFailedReply)
+{
+    // The initial conditions are evaluated inside configure().
+    service::CompileRequest bad = simulatingRequest();
+    bad.sim.init = [](int, int, int, int) -> float {
+        throw std::runtime_error("initial condition unavailable");
+    };
+    expectSimulationFailure(std::move(bad), "initial condition unavailable");
 }
 
 //===----------------------------------------------------------------------===

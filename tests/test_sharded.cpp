@@ -502,35 +502,38 @@ TEST(ShardedDeterminism, ContendedLinkSerializesAcrossShards)
 TEST(ShardedDeterminism, FrameArenaRecyclesAcrossNestedActivations)
 {
     // A stepped workload dispatches hundreds of compiled activations per
-    // PE, each of which may nest further frames through csl.call. The
-    // frame stack must serve virtually all of them from recycled
-    // storage: fresh allocations are bounded by the nesting working set,
-    // not by the activation count.
+    // PE, each of which may nest further frames through csl.call. Each
+    // shard's frame stack must serve virtually all of them from recycled
+    // storage: fresh allocations are bounded by the nesting depth per
+    // shard, not by the activation or PE count.
     fe::Benchmark bench = fe::makeJacobian(5, 5, 20, 32);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
 
-    wse::Simulator sim(wse::ArchParams::wse3(), 5, 5);
-    interp::CslProgramInstance instance(sim, module.get());
-    auto init = bench.init;
-    instance.setFieldInit(bench.program.fieldName(0),
-                          [init](int x, int y, int z) {
-                              return init(0, x, y, z);
-                          });
-    instance.configure();
-    instance.launch();
-    sim.run(4000000000ULL);
+    wse::SimOptions tiled{4};
+    tiled.shardGrid = {2, 2};
+    for (const wse::SimOptions &options : {wse::SimOptions{}, tiled}) {
+        SCOPED_TRACE(options.threads);
+        wse::Simulator sim(wse::ArchParams::wse3(), 5, 5, options);
+        interp::CslProgramInstance instance(sim, module.get());
+        auto init = bench.init;
+        instance.setFieldInit(bench.program.fieldName(0),
+                              [init](int x, int y, int z) {
+                                  return init(0, x, y, z);
+                              });
+        instance.configure();
+        instance.launch();
+        sim.run(4000000000ULL);
 
-    auto [acquires, fresh] = instance.frameStats();
-    EXPECT_GT(acquires, sim.stats().taskActivations);
-    EXPECT_GT(acquires, 8 * fresh)
-        << "activation frames are not being recycled (acquires="
-        << acquires << ", fresh=" << fresh << ")";
-    // Every PE needs at least one frame, so some fresh allocations are
-    // expected; the bound is the per-PE nesting depth, not steps.
-    EXPECT_LE(fresh, 25u * 8u);
+        auto [acquires, fresh] = instance.frameStats();
+        EXPECT_GT(acquires, sim.stats().taskActivations);
+        EXPECT_GT(acquires, 8 * fresh)
+            << "activation frames are not being recycled (acquires="
+            << acquires << ", fresh=" << fresh << ")";
+        EXPECT_LE(fresh, 8u * static_cast<uint64_t>(sim.shardCount()));
+    }
 }
 
 TEST(ShardedDeterminism, PayloadRingRecyclesSlots)

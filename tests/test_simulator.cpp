@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "support/error.h"
 #include "wse/simulator.h"
 
@@ -53,6 +56,41 @@ TEST(SimulatorTest, TiesRunInScheduleOrder)
     sim.schedule(5, [&] { order.push_back(2); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, QueueRunsInCycleThenCreationOrder)
+{
+    // Every event below is host-owned and host-created, so its key is
+    // (cycle, creation index): the queue must pop exactly that order,
+    // including the events pushed into the cycle being drained.
+    Simulator sim(ArchParams::wse3(), 1, 1);
+    std::mt19937_64 rng(41);
+    uint64_t created = 0;
+    std::vector<std::pair<Cycles, uint64_t>> ran;
+    auto leaf = [&](Cycles at) {
+        uint64_t id = created++;
+        sim.schedule(at, [&ran, &sim, at, id] {
+            EXPECT_EQ(sim.now(), at);
+            ran.emplace_back(at, id);
+        });
+    };
+    for (int i = 0; i < 10000; ++i) {
+        Cycles at = rng() % 4096;
+        Cycles k = 1 + rng() % 64;
+        uint64_t id = created++;
+        sim.schedule(at, [&ran, &leaf, at, k, id] {
+            ran.emplace_back(at, id);
+            leaf(at);
+            leaf(at + k);
+        });
+    }
+    sim.run();
+    ASSERT_EQ(ran.size(), 30000u);
+    EXPECT_EQ(std::adjacent_find(ran.begin(), ran.end(),
+                                 [](const auto &x, const auto &y) {
+                                     return !(x < y);
+                                 }),
+              ran.end());
 }
 
 TEST(SimulatorTest, SchedulingIntoThePastPanics)
