@@ -110,8 +110,7 @@ HandwrittenSeismic::registerTasks(int x, int y)
 
     // for_cond: step < T ? seq : post
     registeredState.forCondTask = pe.registerTask(
-        "for_cond", wse::TaskKind::Local,
-        [this, x, y](wse::TaskContext &ctx) {
+        "for_cond", [this, x, y](wse::TaskContext &ctx) {
             stepMarks_[static_cast<size_t>(x) * sim_.height() + y]
                 .push_back(ctx.startCycle());
             PeState &st = state(x, y);
@@ -126,8 +125,7 @@ HandwrittenSeismic::registerTasks(int x, int y)
     // section; applies the coefficient and accumulates — twice the task
     // traffic of the generated code's per-chunk callback.
     registeredState.recvTask = pe.registerTask(
-        "recv_dir", wse::TaskKind::Local,
-        [this, x, y, chunk, sc](wse::TaskContext &ctx) {
+        "recv_dir", [this, x, y, chunk, sc](wse::TaskContext &ctx) {
             wse::Pe &pe = ctx.pe();
             PeState &st = state(x, y);
             auto [section, offset] = comm_->popCompletedSection(pe);
@@ -144,8 +142,7 @@ HandwrittenSeismic::registerTasks(int x, int y)
 
     // done: local compute + time integration, then next step.
     registeredState.doneTask = pe.registerTask(
-        "done_dir", wse::TaskKind::Local,
-        [this, x, y, nz, rz, interior, sc](wse::TaskContext &ctx) {
+        "done_dir", [this, x, y, nz, rz, interior, sc](wse::TaskContext &ctx) {
             wse::Pe &pe = ctx.pe();
             PeState &st = state(x, y);
             if (st.interior) {

@@ -8,6 +8,10 @@ namespace wsc::comms {
 
 namespace {
 
+/** Deadline extensions (each doubling the wait) before an incomplete
+ *  exchange degrades. */
+constexpr int kExchangeMaxRetries = 2;
+
 /** Source direction of an access offset (direction of the source PE). */
 wse::Direction
 accessDirection(const Access &a)
@@ -140,6 +144,18 @@ StarComm::recvBufferBytes() const
            static_cast<int64_t>(sizeof(float));
 }
 
+int64_t
+StarComm::sectionsPerUnit() const
+{
+    return config_.perSectionCallbacks ? 1 : numSections();
+}
+
+int64_t
+StarComm::numUnits() const
+{
+    return config_.numChunks * numSections() / sectionsPerUnit();
+}
+
 int
 StarComm::computeExpectedSections(int x, int y) const
 {
@@ -194,21 +210,11 @@ StarComm::setup()
                 PeState &st = state(x, y);
                 if (!st.exchangeActive)
                     continue;
-                int done = config_.perSectionCallbacks
-                               ? st.announcedDeliveries
-                               : st.completedChunks;
-                int total =
-                    config_.perSectionCallbacks
-                        ? expectedSections(x, y) *
-                              static_cast<int>(config_.numChunks)
-                        : static_cast<int>(config_.numChunks);
                 out.push_back(
                     {x, y,
                      strcat("halo exchange epoch ", st.activeEpoch, ": ",
-                            done, "/", total,
-                            config_.perSectionCallbacks ? " sections"
-                                                        : " chunks",
-                            " complete"),
+                            st.announcedUnits, "/", numUnits(),
+                            " receive callbacks issued"),
                      st.exchangeStart, false});
             }
         }
@@ -241,8 +247,7 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
     st.doneCb = doneCb;
     st.activeEpoch++;
     st.exchangeStart = ctx.currentCycle();
-    st.completedChunks = 0;
-    st.announcedDeliveries = 0;
+    st.announcedUnits = 0;
     st.stats.exchangesStarted++;
 
     const int64_t epoch = st.activeEpoch;
@@ -283,16 +288,15 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
             sim_.fabric().switchReconfig(x, y, entry.dir, t);
             const PlanEntry *sections = &entry; // Stable for the run.
             auto deliver = std::make_shared<const wse::DeliveryFn>(
-                [this, sections, c, epoch](
-                    const wse::StreamDelivery &delivery,
-                    const std::vector<float> &data) {
+                [this, sections, c,
+                 epoch](const wse::StreamDelivery &delivery) {
                     int section = -1;
                     for (const auto &[dist, idx] : sections->sections)
                         if (dist == delivery.distance)
                             section = idx;
                     WSC_ASSERT(section >= 0,
                                "delivery at unexpected distance");
-                    onDelivery(delivery, data, section, c, epoch);
+                    onDelivery(delivery, section, c, epoch);
                 });
             wse::Cycles injected = sim_.fabric().sendStream(
                 x, y, entry.dir, deliverMask, payload, t,
@@ -301,24 +305,14 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
         }
     }
 
-    EpochState &es = st.epochs[epoch];
-    if (es.arrivals.empty()) {
-        es.arrivals.assign(nChunks, 0);
-        es.announced.assign(nChunks, 0);
-        es.announcedSections.assign(
-            nChunks,
-            std::vector<char>(config_.accesses.size(), 0));
-        es.stash.resize(nChunks);
-    }
+    EpochState &es = epochState(st, epoch);
     es.senderInjectDone = lastInject;
 
-    int expected = expectedSections(x, y);
-    if (expected == 0) {
+    if (expectedSections(x, y) == 0) {
         // Boundary PE: nothing to receive; done once sends are injected.
         st.exchangeActive = false;
         pruneEpochs(st, epoch);
         pe.activate(doneCb, lastInject);
-        st.stats.doneCallbacks++;
         return;
     }
 
@@ -332,49 +326,32 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
     // Drain completions that arrived before this exchange started (a
     // neighbour running ahead; the hardware equivalent is data waiting in
     // the input queues).
-    if (config_.perSectionCallbacks) {
-        for (int64_t c = 0; c < nChunks; ++c) {
-            for (size_t s = 0; s < config_.accesses.size(); ++s) {
-                if (static_cast<int64_t>(es.stash.size()) > c &&
-                    es.stash[c].size() > s && es.stash[c][s].valid() &&
-                    !es.announcedSections[c][s])
-                    announceSection(pe, st, es, c,
-                                    static_cast<int>(s), pe.now());
-            }
-        }
-    } else {
-        for (int64_t c = 0; c < nChunks; ++c) {
-            if (es.arrivals[c] == expected && !es.announced[c])
-                announceChunk(pe, st, es, c, pe.now());
-        }
+    for (int64_t u = 0; u < numUnits(); ++u)
+        if (es.arrivals[u] == sectionsPerUnit() && !es.announced[u])
+            announce(pe, st, es, u, pe.now());
+}
+
+StarComm::EpochState &
+StarComm::epochState(PeState &st, int64_t epoch)
+{
+    EpochState &es = st.epochs[epoch];
+    if (es.arrivals.empty()) {
+        es.arrivals.assign(numUnits(), 0);
+        es.announced.assign(numUnits(), 0);
+        es.stash.resize(config_.numChunks * numSections());
     }
+    return es;
 }
 
 void
-StarComm::announceChunk(wse::Pe &pe, PeState &st, EpochState &es, int64_t c,
-                        wse::Cycles readyAt)
+StarComm::announce(wse::Pe &pe, PeState &st, EpochState &es, int64_t unit,
+                   wse::Cycles readyAt)
 {
-    es.announced[c] = 1;
-    st.pendingChunks.emplace_back(st.activeEpoch, c);
+    es.announced[unit] = 1;
+    st.pending.emplace_back(st.activeEpoch, unit);
     pe.activate(st.recvCb, readyAt);
     st.stats.recvCallbacks++;
-    st.completedChunks++;
-    if (st.completedChunks == config_.numChunks)
-        finishExchange(pe, st, es, readyAt);
-}
-
-void
-StarComm::announceSection(wse::Pe &pe, PeState &st, EpochState &es,
-                          int64_t c, int section, wse::Cycles readyAt)
-{
-    es.announcedSections[c][static_cast<size_t>(section)] = 1;
-    st.pendingSections.emplace_back(st.activeEpoch, c, section);
-    pe.activate(st.recvCb, readyAt);
-    st.stats.recvCallbacks++;
-    st.announcedDeliveries++;
-    int expected = expectedSections(pe.x(), pe.y());
-    if (st.announcedDeliveries ==
-        expected * static_cast<int>(config_.numChunks))
+    if (++st.announcedUnits == numUnits())
         finishExchange(pe, st, es, readyAt);
 }
 
@@ -391,7 +368,6 @@ StarComm::finishExchange(wse::Pe &pe, PeState &st, EpochState &es,
     // consumption before the exchange after next).
     pruneEpochs(st, epoch);
     pe.activate(doneCb, doneAt);
-    st.stats.doneCallbacks++;
 }
 
 const StarCommStats &
@@ -402,9 +378,7 @@ StarComm::stats() const
         statsCache_.exchangesStarted += st.stats.exchangesStarted;
         statsCache_.chunksDelivered += st.stats.chunksDelivered;
         statsCache_.recvCallbacks += st.stats.recvCallbacks;
-        statsCache_.doneCallbacks += st.stats.doneCallbacks;
         statsCache_.timeouts += st.stats.timeouts;
-        statsCache_.degradedExchanges += st.stats.degradedExchanges;
     }
     return statsCache_;
 }
@@ -430,7 +404,7 @@ StarComm::onExchangeTimeout(wse::Pe &pe, int64_t epoch, int attempt)
         return; // The exchange completed in time: the timer is stale.
     st.stats.timeouts++;
     pe.shard().faultStats().exchangeTimeouts++;
-    if (attempt < sim_.options().exchangeMaxRetries) {
+    if (attempt < kExchangeMaxRetries) {
         // Extend the deadline with exponential backoff: a degraded
         // (slow) link deserves more patience than a dead one.
         scheduleTimeout(pe, epoch, attempt + 1, pe.now());
@@ -444,28 +418,15 @@ StarComm::degradeExchange(wse::Pe &pe, PeState &st, EpochState &es,
                           wse::Cycles readyAt)
 {
     es.degraded = true;
-    st.stats.degradedExchanges++;
     pe.shard().faultStats().exchangesDegraded++;
     sim_.noteDegradedPe(pe.id());
-    // Size the stashes so the materialization paths can probe sections
-    // that never arrived (resize preserves the pinned slots).
-    for (auto &chunkStash : es.stash)
-        chunkStash.resize(config_.accesses.size());
     // Announce everything still outstanding: the receive callbacks run
-    // over whatever sections made it, the pop paths zero-fill the rest,
-    // and the last announcement fires finishExchange as usual — the
-    // program continues instead of deadlocking on a dead neighbour.
-    if (config_.perSectionCallbacks) {
-        for (int64_t c = 0; c < config_.numChunks; ++c)
-            for (size_t s = 0; s < config_.accesses.size(); ++s)
-                if (!es.announcedSections[c][s])
-                    announceSection(pe, st, es, c, static_cast<int>(s),
-                                    readyAt);
-    } else {
-        for (int64_t c = 0; c < config_.numChunks; ++c)
-            if (!es.announced[c])
-                announceChunk(pe, st, es, c, readyAt);
-    }
+    // over whatever sections made it, the pop zero-fills the rest, and
+    // the last announcement fires finishExchange as usual — the program
+    // continues instead of deadlocking on a dead neighbour.
+    for (int64_t u = 0; u < numUnits(); ++u)
+        if (!es.announced[u])
+            announce(pe, st, es, u, readyAt);
 }
 
 void
@@ -480,121 +441,89 @@ StarComm::pruneEpochs(PeState &st, int64_t currentEpoch)
 }
 
 void
-StarComm::onDelivery(const wse::StreamDelivery &delivery,
-                     const std::vector<float> &payload, int accessIdx,
+StarComm::onDelivery(const wse::StreamDelivery &delivery, int accessIdx,
                      int64_t chunkIdx, int64_t senderEpoch)
 {
     wse::Pe &pe = sim_.pe(delivery.peX, delivery.peY);
     PeState &st = state(delivery.peX, delivery.peY);
     // The sender's epoch counter aligns with the receiver's because every
     // PE performs the same sequence of exchanges on this site.
-    EpochState &es = st.epochs[senderEpoch];
-    if (es.arrivals.empty()) {
-        es.arrivals.assign(config_.numChunks, 0);
-        es.announced.assign(config_.numChunks, 0);
-        es.announcedSections.assign(
-            config_.numChunks,
-            std::vector<char>(config_.accesses.size(), 0));
-        es.stash.resize(config_.numChunks);
-    }
-    es.stash[chunkIdx].resize(config_.accesses.size());
+    EpochState &es = epochState(st, senderEpoch);
+    int64_t index = chunkIdx * numSections() + accessIdx;
     // Pin the payload slot instead of copying the floats; the slot
     // returns to its ring when the receive callback materializes it.
-    es.stash[chunkIdx][accessIdx] = delivery.payload;
-    es.arrivals[chunkIdx]++;
+    es.stash[index] = delivery.payload;
+    int64_t unit = index / sectionsPerUnit();
+    es.arrivals[unit]++;
     st.stats.chunksDelivered++;
-    (void)payload;
 
-    int expected = expectedSections(delivery.peX, delivery.peY);
-    WSC_ASSERT(expected > 0, "delivery to a non-computing PE");
-    WSC_ASSERT(es.arrivals[chunkIdx] <= expected, "duplicate delivery");
-    bool active =
-        st.exchangeActive && senderEpoch == st.activeEpoch;
-    if (config_.perSectionCallbacks) {
-        if (active && !es.announcedSections[chunkIdx][accessIdx])
-            announceSection(pe, st, es, chunkIdx, accessIdx,
-                            delivery.completeAt);
-    } else if (es.arrivals[chunkIdx] == expected && active &&
-               !es.announced[chunkIdx]) {
-        announceChunk(pe, st, es, chunkIdx, delivery.completeAt);
-    }
+    WSC_ASSERT(expectedSections(delivery.peX, delivery.peY) > 0,
+               "delivery to a non-computing PE");
+    WSC_ASSERT(es.arrivals[unit] <= sectionsPerUnit(), "duplicate delivery");
+    if (es.arrivals[unit] == sectionsPerUnit() && st.exchangeActive &&
+        senderEpoch == st.activeEpoch && !es.announced[unit])
+        announce(pe, st, es, unit, delivery.completeAt);
 }
 
 int64_t
-StarComm::popCompletedChunkOffset(wse::Pe &pe)
+StarComm::popUnit(wse::Pe &pe)
 {
     PeState &st = state(pe.x(), pe.y());
-    WSC_ASSERT(!st.pendingChunks.empty(),
-               "receive callback without a completed chunk");
-    auto [epoch, chunkIdx] = st.pendingChunks.front();
-    st.pendingChunks.pop_front();
+    WSC_ASSERT(!st.pending.empty(),
+               "receive callback without a completed chunk or section");
+    auto [epoch, unit] = st.pending.front();
+    st.pending.pop_front();
 
-    // Materialize the chunk into the receive buffer (the hardware's
+    // Materialize the unit into the receive buffer (the hardware's
     // landing step), applying promoted coefficients at zero extra cost —
     // the comms/compute interleaving of §5.7.
     EpochState &es = st.epochs.at(epoch);
     std::vector<float> &recv = pe.buffer(st.recvBuf);
-    int64_t chunk = chunkElems();
-    for (size_t s = 0; s < config_.accesses.size(); ++s) {
-        wse::PayloadRef &pinned = es.stash[chunkIdx][s];
+    const int64_t chunk = chunkElems();
+    const int64_t first = unit * sectionsPerUnit();
+    for (int64_t i = first; i < first + sectionsPerUnit(); ++i) {
+        int64_t s = i % numSections();
+        float *dst = recv.data() + s * chunk;
+        wse::PayloadRef &pinned = es.stash[i];
         if (!pinned.valid()) {
-            // Only a degraded exchange announces incomplete chunks: the
+            // Only a degraded exchange announces incomplete units: the
             // section never arrived and its slice reads as zeros.
-            WSC_ASSERT(es.degraded, "announced chunk missing a section");
-            for (int64_t i = 0; i < chunk; ++i)
-                recv[s * chunk + static_cast<size_t>(i)] = 0.0f;
+            WSC_ASSERT(es.degraded, "announced unit missing a section");
+            std::fill(dst, dst + chunk, 0.0f);
             continue;
         }
         const std::vector<float> &data = pinned.data();
         float coeff = config_.coeffs.empty()
                           ? 1.0f
                           : static_cast<float>(config_.coeffs[s]);
-        for (size_t i = 0; i < data.size(); ++i)
-            recv[s * chunk + i] = data[i] * coeff;
+        for (size_t k = 0; k < data.size(); ++k)
+            dst[k] = data[k] * coeff;
         // Zero any tail when the final chunk is short.
-        for (size_t i = data.size(); i < static_cast<size_t>(chunk); ++i)
-            recv[s * chunk + i] = 0.0f;
+        std::fill(dst + data.size(), dst + chunk, 0.0f);
         pinned.reset(); // Return the slot to its sender's ring.
     }
+    return first;
+}
+
+int64_t
+StarComm::popCompletedChunkOffset(wse::Pe &pe)
+{
+    WSC_ASSERT(!config_.perSectionCallbacks,
+               "per-section exchange popped by chunk");
     // Offset is accumulator-relative (interior index space): the chunk
     // covers [chunkIdx * chunkElems, +chunkElems) of the communicated
     // range.
-    return chunkIdx * chunk;
+    return popUnit(pe) / numSections() * chunkElems();
 }
 
 std::pair<int, int64_t>
 StarComm::popCompletedSection(wse::Pe &pe)
 {
-    PeState &st = state(pe.x(), pe.y());
-    WSC_ASSERT(!st.pendingSections.empty(),
-               "receive callback without a landed section");
-    auto [epoch, chunkIdx, section] = st.pendingSections.front();
-    st.pendingSections.pop_front();
-
-    EpochState &es = st.epochs.at(epoch);
-    std::vector<float> &recv = pe.buffer(st.recvBuf);
-    int64_t chunk = chunkElems();
-    wse::PayloadRef &pinned =
-        es.stash[chunkIdx][static_cast<size_t>(section)];
-    if (!pinned.valid()) {
-        // Degraded exchange: the section never arrived (see above).
-        WSC_ASSERT(es.degraded, "announced section missing its payload");
-        for (int64_t i = 0; i < chunk; ++i)
-            recv[section * chunk + i] = 0.0f;
-        return {section, chunkIdx * chunk};
-    }
-    const std::vector<float> &data = pinned.data();
-    float coeff = config_.coeffs.empty()
-                      ? 1.0f
-                      : static_cast<float>(
-                            config_.coeffs[static_cast<size_t>(section)]);
-    for (size_t i = 0; i < data.size(); ++i)
-        recv[section * chunk + static_cast<int64_t>(i)] =
-            data[i] * coeff;
-    for (size_t i = data.size(); i < static_cast<size_t>(chunk); ++i)
-        recv[section * chunk + static_cast<int64_t>(i)] = 0.0f;
-    pinned.reset(); // Return the slot to its sender's ring.
-    return {section, chunkIdx * chunk};
+    WSC_ASSERT(config_.perSectionCallbacks,
+               "per-chunk exchange popped by section");
+    int64_t first = popUnit(pe);
+    return {static_cast<int>(first % numSections()),
+            first / numSections() * chunkElems()};
 }
 
 } // namespace wsc::comms

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "support/vec_fifo.h"
@@ -88,11 +87,8 @@ struct StarCommStats
     uint64_t exchangesStarted = 0;
     uint64_t chunksDelivered = 0;
     uint64_t recvCallbacks = 0;
-    uint64_t doneCallbacks = 0;
     /** Exchange watchdog firings (wse/fault.h; 0 without faults). */
     uint64_t timeouts = 0;
-    /** Exchanges completed degraded (missing sections zero-filled). */
-    uint64_t degradedExchanges = 0;
 };
 
 /** One exchange site of the runtime library. */
@@ -112,9 +108,10 @@ class StarComm
     /**
      * Start an exchange from a running task on ctx's PE: sends the
      * chunked (trimmed) column of `sendBuf`, then activates
-     * `recvCb` once per chunk as it completes and `doneCb` at the end.
-     * The caller's generated receive-chunk task obtains the chunk offset
-     * via popCompletedChunkOffset().
+     * `recvCb` once per chunk as it completes (once per landed section
+     * with perSectionCallbacks) and `doneCb` at the end. The receive
+     * task materializes its piece with popCompletedChunkOffset() (or
+     * popCompletedSection()).
      *
      * The handle overload is the hot path: callers that pre-resolve the
      * buffer and callback tasks once (interpreter configure, baseline
@@ -141,14 +138,15 @@ class StarComm
     int64_t recvBufferBytes() const;
 
     /**
-     * Inside a receive-chunk callback: the accumulator-relative offset of
-     * the chunk being processed (chunkIndex * chunkElems).
+     * Inside a receive-chunk callback: materialize the oldest announced
+     * chunk into the receive buffer and return its accumulator-relative
+     * offset (chunkIndex * chunkElems).
      */
     int64_t popCompletedChunkOffset(wse::Pe &pe);
 
     /**
-     * Per-section mode: the (section, accumulator-relative offset) of the
-     * landed piece being processed.
+     * Per-section mode: materialize the oldest announced section and
+     * return its (section, accumulator-relative offset).
      */
     std::pair<int, int64_t> popCompletedSection(wse::Pe &pe);
 
@@ -164,16 +162,18 @@ class StarComm
      * Bookkeeping for one exchange epoch on one PE. Data arriving before
      * the PE has started the matching exchange is stashed here — the
      * hardware equivalent of wavelets waiting in the input queues.
+     *
+     * The receive callback fires once per *unit*: a whole chunk, or one
+     * (chunk, section) piece with perSectionCallbacks. Unit u covers the
+     * sectionsPerUnit() stash entries from u * sectionsPerUnit().
      */
     struct EpochState
     {
-        std::vector<int> arrivals;         ///< per chunk index
-        std::vector<char> announced;       ///< recvCb issued per chunk
-        /** Per-section mode: callback issued per (chunk, section). */
-        std::vector<std::vector<char>> announcedSections;
-        /** stash[chunk][section] pins the landed payload slot (no copy)
-         *  until the receive callback materializes it. */
-        std::vector<std::vector<wse::PayloadRef>> stash;
+        std::vector<int> arrivals;   ///< sections landed, per unit
+        std::vector<char> announced; ///< recvCb issued, per unit
+        /** stash[chunk * numSections + section] pins the landed payload
+         *  slot (no copy) until the receive callback materializes it. */
+        std::vector<wse::PayloadRef> stash;
         wse::Cycles senderInjectDone = 0;
         /**
          * Set when the exchange watchdog gave up waiting: outstanding
@@ -189,18 +189,16 @@ class StarComm
         bool exchangeActive = false;
         /** Cycle the active exchange started (watchdog/diagnosis). */
         wse::Cycles exchangeStart = 0;
-        int completedChunks = 0;
-        int announcedDeliveries = 0;
+        /** Units announced in the active exchange. */
+        int announcedUnits = 0;
         /** Callback tasks of the active exchange (resolved handles). */
         wse::TaskId recvCb;
         wse::TaskId doneCb;
         /** This PE's receive buffer (resolved once at setup()). */
         wse::BufferId recvBuf;
         std::map<int64_t, EpochState> epochs;
-        /** (epoch, chunk) queue feeding popCompletedChunkOffset. */
-        VecFifo<std::pair<int64_t, int64_t>> pendingChunks;
-        /** (epoch, chunk, section) queue for per-section mode. */
-        VecFifo<std::tuple<int64_t, int64_t, int>> pendingSections;
+        /** (epoch, unit) queue of announced, not yet popped units. */
+        VecFifo<std::pair<int64_t, int64_t>> pending;
         /** Shard-safe statistics: counters live with the PE that
          *  increments them; stats() sums across PEs. */
         StarCommStats stats;
@@ -216,13 +214,22 @@ class StarComm
 
     PeState &state(int x, int y);
     int computeExpectedSections(int x, int y) const;
-    void onDelivery(const wse::StreamDelivery &delivery,
-                    const std::vector<float> &payload, int accessIdx,
+    /** Stash entries per announcement unit (1 or numSections()). */
+    int64_t sectionsPerUnit() const;
+    /** Announcement units per exchange on a receiving PE. */
+    int64_t numUnits() const;
+    /** The epoch's bookkeeping, created on first use by either side. */
+    EpochState &epochState(PeState &st, int64_t epoch);
+    void onDelivery(const wse::StreamDelivery &delivery, int accessIdx,
                     int64_t chunkIdx, int64_t senderEpoch);
-    void announceChunk(wse::Pe &pe, PeState &st, EpochState &es, int64_t c,
-                       wse::Cycles readyAt);
-    void announceSection(wse::Pe &pe, PeState &st, EpochState &es,
-                         int64_t c, int section, wse::Cycles readyAt);
+    void announce(wse::Pe &pe, PeState &st, EpochState &es, int64_t unit,
+                  wse::Cycles readyAt);
+    /**
+     * Pop the oldest announced unit and materialize it into the receive
+     * buffer; returns its first stash index (chunk * numSections +
+     * section).
+     */
+    int64_t popUnit(wse::Pe &pe);
     void finishExchange(wse::Pe &pe, PeState &st, EpochState &es,
                         wse::Cycles readyAt);
     void pruneEpochs(PeState &st, int64_t currentEpoch);
@@ -239,10 +246,10 @@ class StarComm
                          wse::Cycles from);
     void onExchangeTimeout(wse::Pe &pe, int64_t epoch, int attempt);
     /**
-     * Give up on the active exchange: announce every outstanding chunk
-     * (or section) so the program continues, with never-delivered
-     * sections zero-filled at materialization. Records the PE as
-     * degraded on the SimReport.
+     * Give up on the active exchange: announce every outstanding unit
+     * so the program continues, with never-delivered sections
+     * zero-filled at materialization. Records the PE as degraded on the
+     * SimReport.
      */
     void degradeExchange(wse::Pe &pe, PeState &st, EpochState &es,
                          wse::Cycles readyAt);

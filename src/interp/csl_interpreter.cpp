@@ -635,8 +635,7 @@ CslProgramInstance::configure()
                 CallablePlan &c = callablePlan_[i];
                 int idx = static_cast<int>(i);
                 wse::TaskId id = pe.registerTask(
-                    c.peName, wse::TaskKind::Local,
-                    [this, idx](wse::TaskContext &ctx) {
+                    c.peName, [this, idx](wse::TaskContext &ctx) {
                         runTask(idx, ctx);
                     });
                 agree(c.task, id, c.peName, pe);

@@ -169,49 +169,6 @@ Fabric::switchReconfig(int x, int y, Direction dir, Cycles notBefore)
            sim_.params().switchReconfigCycles;
 }
 
-namespace {
-
-/** Encode delivery distances as the hop bitmask (hops must be 1..31). */
-uint32_t
-deliverMaskOf(const std::vector<int> &deliverDistances)
-{
-    uint32_t mask = 0;
-    for (int d : deliverDistances) {
-        WSC_ASSERT(d >= 1 && d < 32, "delivery distance " << d
-                                                          << " out of range");
-        mask |= 1u << d;
-    }
-    return mask;
-}
-
-} // namespace
-
-Cycles
-Fabric::sendStream(int x, int y, Direction dir,
-                   const std::vector<int> &deliverDistances,
-                   std::vector<float> payload, Cycles notBefore,
-                   const DeliveryFn &deliver)
-{
-    PayloadRef slot = sim_.pe(x, y).payloadPool().acquire();
-    slot.mutableData() = std::move(payload);
-    return sendStream(x, y, dir, deliverMaskOf(deliverDistances),
-                      std::move(slot), notBefore,
-                      std::make_shared<const DeliveryFn>(deliver));
-}
-
-Cycles
-Fabric::sendStream(int x, int y, Direction dir,
-                   const std::vector<int> &deliverDistances,
-                   std::shared_ptr<const std::vector<float>> payload,
-                   Cycles notBefore,
-                   std::shared_ptr<const DeliveryFn> deliver)
-{
-    PayloadRef slot = sim_.pe(x, y).payloadPool().acquire();
-    slot.mutableData() = *payload;
-    return sendStream(x, y, dir, deliverMaskOf(deliverDistances),
-                      std::move(slot), notBefore, std::move(deliver));
-}
-
 Cycles
 Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
                    PayloadRef payload, Cycles notBefore,
@@ -270,7 +227,6 @@ Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
         Cycles linkStart = reserveLink(x, y, dir, inject, m);
         Cycles headArrives =
             linkStart + p.hopCycles + linkExtra(li, linkStart);
-        sender.shard().fabricHops_ += m;
         sender.shardStats().waveletsSent += m;
         if (dropPayload)
             return injectDone; // Lost in flight after the first hop.
@@ -307,7 +263,7 @@ Fabric::segmentArrive(Segment &seg)
             router.id(), landed,
             [deliver = std::move(deliver),
              record = std::move(record)]() mutable {
-                (*deliver)(record, record.payload.data());
+                (*deliver)(record);
             });
     }
 
@@ -338,7 +294,6 @@ Fabric::forward(Segment &seg, Pe &router, Cycles headAt, Cycles m)
     // the reservation is shard-local and time-ordered.
     Cycles linkStart = reserveLink(seg.x, seg.y, dir, headAt, m);
     Cycles headArrives = linkStart + p.hopCycles + linkExtra(li, linkStart);
-    router.shard().fabricHops_ += m;
     router.shardStats().waveletsSent += m;
 
     Segment next = seg; // copies the payload/deliver references

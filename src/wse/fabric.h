@@ -62,8 +62,7 @@ struct StreamDelivery
     PayloadRef payload;   ///< the delivered chunk (refcounted)
 };
 
-using DeliveryFn = std::function<void(const StreamDelivery &,
-                                      const std::vector<float> &payload)>;
+using DeliveryFn = std::function<void(const StreamDelivery &)>;
 
 /**
  * Models the wafer interconnect between the simulated PEs. Each link
@@ -78,11 +77,13 @@ class Fabric
     explicit Fabric(Simulator &sim);
 
     /**
-     * Send a chunk of `payload.size()` wavelets from PE (x, y) towards
-     * `dir`, forwarding up to max(deliverDistances) hops and delivering
-     * to the PEs at exactly the listed hop distances (forward-and-deliver
-     * multicast; hops not listed forward without a ramp delivery).
-     * Streams that would leave the grid are truncated at the edge.
+     * Send the chunk held in `payload` (a slot of the sender's
+     * payloadPool(), one wavelet per element) from PE (x, y) towards
+     * `dir`, forwarding up to the highest hop set in `deliverMask` and
+     * delivering to the PEs at exactly the set hops (bit h = deliver at
+     * hop h, 1 <= h < 32; forward-and-deliver multicast, hops not set
+     * forward without a ramp delivery). Streams that would leave the
+     * grid are truncated at the edge.
      *
      * `notBefore` is the earliest injection cycle; injection also
      * reserves the sender's work timeline (ramp-to-router transfer). On
@@ -93,27 +94,6 @@ class Fabric
      * the receiver's work timeline reservation for the ramp transfer.
      *
      * Returns the cycle at which injection completes on the sender.
-     */
-    Cycles sendStream(int x, int y, Direction dir,
-                      const std::vector<int> &deliverDistances,
-                      std::vector<float> payload, Cycles notBefore,
-                      const DeliveryFn &deliver);
-
-    /**
-     * sendStream variant taking an already-shared payload snapshot
-     * (compatibility surface; the bytes are moved into a recycled ring
-     * slot of the sender's shard).
-     */
-    Cycles sendStream(int x, int y, Direction dir,
-                      const std::vector<int> &deliverDistances,
-                      std::shared_ptr<const std::vector<float>> payload,
-                      Cycles notBefore,
-                      std::shared_ptr<const DeliveryFn> deliver);
-
-    /**
-     * The allocation-free hot path: the payload already lives in a ring
-     * slot and the delivery hops are encoded as a bitmask (bit h set =
-     * deliver at hop h; hops must be < 32).
      */
     Cycles sendStream(int x, int y, Direction dir, uint32_t deliverMask,
                       PayloadRef payload, Cycles notBefore,

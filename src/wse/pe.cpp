@@ -50,15 +50,11 @@ Pe::scheduleDispatch(Cycles at)
 }
 
 void
-Pe::checkBufferLive(BufferId id) const
+Pe::checkBuffer(BufferId id) const
 {
     WSC_ASSERT(id.index >= 0 && id.index < numBuffers_,
                "invalid buffer handle " << id.index << " on PE (" << x_
                                         << ", " << y_ << ")");
-    WSC_ASSERT(slot(id.index).live,
-               "use of freed buffer `" << slot(id.index).name.str()
-                                       << "` on PE (" << x_ << ", " << y_
-                                       << ")");
 }
 
 void
@@ -81,27 +77,18 @@ Pe::allocBufferId(PeName name, size_t elems)
                      " + ", bytes, " > ", sim_.params().peMemoryBytes,
                      " bytes"));
     }
-    int32_t index = 0;
-    while (index < numBuffers_ && slot(index).name != name)
-        ++index;
-    if (index == numBuffers_) {
-        if (static_cast<size_t>(numBuffers_) ==
-            (moreSlots_.size() + 1) * kSlotChunk)
-            moreSlots_.push_back(std::make_unique<BufferSlot[]>(kSlotChunk));
-        numBuffers_++;
-        slot(index).name = name;
-    } else {
-        // Re-allocation after freeBuffer() reuses the slot (and the
-        // handle); double allocation of a live name is an error.
-        WSC_ASSERT(!slot(index).live,
+    for (int32_t i = 0; i < numBuffers_; ++i)
+        WSC_ASSERT(slot(i).name != name,
                    "buffer `" << name.str() << "` already allocated on PE ("
                               << x_ << ", " << y_ << ")");
-    }
-    BufferSlot &s = slot(index);
-    s.live = true;
-    bytesUsed_ += bytes;
+    if (static_cast<size_t>(numBuffers_) ==
+        (moreSlots_.size() + 1) * kSlotChunk)
+        moreSlots_.push_back(std::make_unique<BufferSlot[]>(kSlotChunk));
+    BufferSlot &s = slot(numBuffers_);
+    s.name = name;
     s.data.assign(elems, 0.0f);
-    return BufferId{index};
+    bytesUsed_ += bytes;
+    return BufferId{numBuffers_++};
 }
 
 BufferId
@@ -136,40 +123,8 @@ Pe::findBuffer(const std::string &name) const
 {
     for (int32_t i = 0; i < numBuffers_; ++i)
         if (slot(i).name.str() == name)
-            return slot(i).live ? BufferId{i} : BufferId{};
+            return BufferId{i};
     return BufferId{};
-}
-
-const std::string &
-Pe::bufferName(BufferId id) const
-{
-    WSC_ASSERT(id.index >= 0 && id.index < numBuffers_,
-               "invalid buffer handle " << id.index);
-    return slot(id.index).name.str();
-}
-
-bool
-Pe::hasBuffer(const std::string &name) const
-{
-    return findBuffer(name).valid();
-}
-
-void
-Pe::freeBuffer(BufferId id)
-{
-    checkBufferLive(id);
-    BufferSlot &s = slot(id.index);
-    bytesUsed_ -= s.data.size() * sizeof(float);
-    s.live = false;
-    std::vector<float>().swap(s.data); // Release the memory.
-}
-
-void
-Pe::freeBuffer(const std::string &name)
-{
-    BufferId id = findBuffer(name);
-    WSC_ASSERT(id.valid(), "freeing unknown buffer " << name);
-    freeBuffer(id);
 }
 
 ScalarId
@@ -187,21 +142,14 @@ Pe::scalarId(PeName name)
 ScalarId
 Pe::scalarId(const std::string &name)
 {
-    ScalarId id = findScalar(name);
-    return id.valid() ? id : scalarId(sim_.internName(name));
-}
-
-ScalarId
-Pe::findScalar(const std::string &name) const
-{
     for (size_t i = 0; i < scalars_.size(); ++i)
         if (scalars_[i].name.str() == name)
             return ScalarId{static_cast<int32_t>(i)};
-    return ScalarId{};
+    return scalarId(sim_.internName(name));
 }
 
 TaskId
-Pe::registerTask(PeName name, TaskKind kind, TaskFn fn)
+Pe::registerTask(PeName name, TaskFn fn)
 {
     WSC_ASSERT(!dispatching_, "task `" << name.str()
                                        << "` registered by a task running "
@@ -211,39 +159,24 @@ Pe::registerTask(PeName name, TaskKind kind, TaskFn fn)
                    "task `" << name.str() << "` already registered");
     if (tasks_.empty())
         tasks_.reserve(kFirstReserve);
-    tasks_.push_back(TaskInfo{name, kind, std::move(fn)});
+    tasks_.push_back(TaskInfo{name, std::move(fn)});
     return TaskId{static_cast<int32_t>(tasks_.size() - 1)};
 }
 
 TaskId
-Pe::registerTask(const std::string &name, TaskKind kind, TaskFn fn)
+Pe::registerTask(const std::string &name, TaskFn fn)
 {
-    return registerTask(sim_.internName(name), kind, std::move(fn));
+    return registerTask(sim_.internName(name), std::move(fn));
 }
 
 TaskId
 Pe::taskId(const std::string &name) const
 {
-    TaskId id = findTask(name);
-    WSC_ASSERT(id.valid(), "activating unknown task `"
-                               << name << "` on PE (" << x_ << ", " << y_
-                               << ")");
-    return id;
-}
-
-TaskId
-Pe::findTask(const std::string &name) const
-{
     for (size_t i = 0; i < tasks_.size(); ++i)
         if (tasks_[i].name.str() == name)
             return TaskId{static_cast<int32_t>(i)};
-    return TaskId{};
-}
-
-bool
-Pe::hasTask(const std::string &name) const
-{
-    return findTask(name).valid();
+    panic(strcat("activating unknown task `", name, "` on PE (", x_, ", ",
+                 y_, ")"));
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
  * Processing-element model: private memory with capacity accounting,
- * actor-style tasks (data / control / local) dispatched one at a time,
- * and a single work timeline on which compute and ramp transfers
- * serialize (see simulator.h for the timing-model rationale).
+ * actor-style tasks dispatched one at a time, and a single work
+ * timeline on which compute and ramp transfers serialize (see
+ * simulator.h for the timing-model rationale).
  *
  * Tasks, buffers and scalars are identified by dense handles (TaskId /
  * BufferId / ScalarId) into flat per-PE vectors; every per-activation
@@ -37,9 +37,6 @@ class Shard;
 class PayloadPool;
 struct SimStats;
 
-/** The three CSL task flavours (software actors). */
-enum class TaskKind { Data, Control, Local };
-
 /** Dense handle of a task registered on one PE. */
 struct TaskId
 {
@@ -48,8 +45,7 @@ struct TaskId
     bool operator==(const TaskId &) const = default;
 };
 
-/** Dense handle of a named buffer on one PE. Survives freeBuffer():
- *  re-allocating the same name reuses the handle (and the slot). */
+/** Dense handle of a named buffer on one PE. */
 struct BufferId
 {
     int32_t index = -1;
@@ -160,8 +156,8 @@ class Pe
     /// @{
     /**
      * Allocate a named f32 buffer and return its dense handle; throws
-     * FatalError when the 48 kB PE memory would be exceeded. A name
-     * freed earlier may be re-allocated and keeps its handle.
+     * FatalError when the 48 kB PE memory would be exceeded; a name
+     * may be allocated once.
      */
     BufferId allocBufferId(PeName name, size_t elems);
     BufferId allocBufferId(const std::string &name, size_t elems);
@@ -171,19 +167,14 @@ class Pe
     std::vector<float> &
     buffer(BufferId id)
     {
-        checkBufferLive(id);
+        checkBuffer(id);
         return slot(id.index).data;
     }
     std::vector<float> &buffer(const std::string &name);
-    /** Resolve a live buffer name; panics when unknown or freed. */
+    /** Resolve a buffer name; panics when unknown. */
     BufferId bufferId(const std::string &name) const;
-    /** Resolve a live buffer name; invalid handle when unknown/freed. */
+    /** Resolve a buffer name; invalid handle when unknown. */
     BufferId findBuffer(const std::string &name) const;
-    /** Name of a buffer slot (diagnostics). */
-    const std::string &bufferName(BufferId id) const;
-    bool hasBuffer(const std::string &name) const;
-    void freeBuffer(BufferId id);
-    void freeBuffer(const std::string &name);
     size_t memoryBytesUsed() const { return bytesUsed_; }
     /// @}
 
@@ -195,8 +186,6 @@ class Pe
      */
     ScalarId scalarId(PeName name);
     ScalarId scalarId(const std::string &name);
-    /** Resolve without interning; invalid handle when unknown. */
-    ScalarId findScalar(const std::string &name) const;
     /** O(1) access through the dense handle (hot path). References are
      *  invalidated by interning further scalars, so resolve all names
      *  before holding references across calls. */
@@ -215,10 +204,6 @@ class Pe
         return scalars_[static_cast<size_t>(id.index)].value;
     }
     double &scalar(const std::string &name) { return scalar(scalarId(name)); }
-    bool hasScalar(const std::string &name) const
-    {
-        return findScalar(name).valid();
-    }
     /// @}
 
     /// @name Tasks
@@ -228,13 +213,10 @@ class Pe
      * task table is a vector, and growing it would move the running
      * closure.
      */
-    TaskId registerTask(PeName name, TaskKind kind, TaskFn fn);
-    TaskId registerTask(const std::string &name, TaskKind kind, TaskFn fn);
+    TaskId registerTask(PeName name, TaskFn fn);
+    TaskId registerTask(const std::string &name, TaskFn fn);
     /** Resolve a registered task name; panics when unknown. */
     TaskId taskId(const std::string &name) const;
-    /** Resolve without panicking; invalid handle when unknown. */
-    TaskId findTask(const std::string &name) const;
-    bool hasTask(const std::string &name) const;
     /**
      * Request activation of a task as of cycle `readyAt`; it dispatches
      * when the PE work timeline is free, after the activation overhead.
@@ -304,16 +286,14 @@ class Pe
     struct TaskInfo
     {
         PeName name;
-        TaskKind kind;
         TaskFn fn;
     };
 
-    /** One buffer slot; `live` is false between free and re-alloc. */
+    /** One buffer slot. */
     struct BufferSlot
     {
         PeName name;
         std::vector<float> data;
-        bool live = false;
     };
 
     /** One module-level scalar. */
@@ -343,7 +323,7 @@ class Pe
         return const_cast<Pe *>(this)->slot(index);
     }
 
-    void checkBufferLive(BufferId id) const;
+    void checkBuffer(BufferId id) const;
     void checkScalar(ScalarId id) const;
     void dispatchPending();
     /** Schedule a dispatch event on the owning shard. */

@@ -333,7 +333,7 @@ Simulator::fabricHops() const
 {
     uint64_t total = 0;
     for (const auto &shard : shards_)
-        total += shard->fabricHops_;
+        total += shard->stats_.waveletsSent;
     return total;
 }
 

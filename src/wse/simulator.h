@@ -119,10 +119,6 @@ struct SimOptions
      */
     Cycles exchangeTimeoutCycles = 0;
 
-    /** Deadline extensions (each doubling the wait) before an
-     *  incomplete exchange degrades. */
-    int exchangeMaxRetries = 2;
-
     /**
      * 2-D shard tiling (rows x cols tiles). Unset {0, 0} auto-derives
      * the most-square tiling with `threads` tiles that fits the grid;
@@ -326,8 +322,8 @@ class Simulator;
 
 /**
  * One shard tile: a private event queue plus the per-shard resources
- * its PEs touch on the hot path (stats, payload ring, fabric hop
- * counter). All members are accessed only by the one worker the shard
+ * its PEs touch on the hot path (stats, payload ring, fault
+ * counters). All members are accessed only by the one worker the shard
  * is assigned to, by the barrier completion step while every worker is
  * parked, or by the host thread while no run is active.
  * Cross-shard event creation goes through the outboxes, drained at
@@ -364,7 +360,6 @@ class Shard
 
   private:
     friend class Simulator;
-    friend class Fabric;
 
     /**
      * Heap entry: POD, so sift operations move 32 bytes, never the
@@ -441,8 +436,6 @@ class Shard
     uint64_t processed_ = 0;
     /** Outbox lane capacity growths (ShardingTelemetry). */
     uint64_t outboxReallocs_ = 0;
-    /** Wavelet-hops injected by this shard's links (fabric statistic). */
-    uint64_t fabricHops_ = 0;
     /** Fault counters of this shard's PEs (wse/fault.h). */
     FaultStats faultStats_;
     /** PEs of this shard that degraded an exchange (unsorted; merged
@@ -498,7 +491,8 @@ class Simulator
      *  (read-only: subsystems accumulate into their shard's stats). */
     const SimStats &stats();
 
-    /** Total wavelet-hops carried by the fabric (summed over shards). */
+    /** Total wavelet-hops carried by the fabric: the merged
+     *  SimStats::waveletsSent (one wavelet per link crossed). */
     uint64_t fabricHops() const;
 
     /**

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "baselines/handwritten_seismic.h"
 #include "codegen/csl_emitter.h"
 #include "support/env.h"
 
@@ -191,6 +192,40 @@ TEST_F(GoldenCslTest, SimulatedCycleCountsShardedMatch)
     if (updateRequested())
         return; // cycle_counts.txt is written by the threads=1 lock.
     checkGolden("cycle_counts.txt", os.str());
+}
+
+TEST_F(GoldenCslTest, HandwrittenSeismicPerSectionLock)
+{
+    // The hand-written comparator is the only workload that runs the
+    // exchange in per-section mode (one receive task per landed
+    // section); lock its final cycle and event/comms counts.
+    const int N = 10;
+    fe::Benchmark bench = fe::makeSeismic(N, N, 4, 24);
+    wse::Simulator sim(wse::ArchParams::wse2(), N, N);
+    baselines::HandwrittenSeismicConfig config;
+    config.nz = 24;
+    config.timesteps = 4;
+    baselines::HandwrittenSeismic hw(sim, config);
+    hw.setInit(bench.init);
+    hw.configure();
+    hw.launch();
+    EXPECT_EQ(sim.run(4000000000ULL), 8024u);
+
+    const wse::SimStats &stats = sim.stats();
+    EXPECT_EQ(stats.eventsProcessed, 3616u);
+    EXPECT_EQ(stats.taskActivations, 1412u);
+    EXPECT_EQ(stats.waveletsSent, 10752u);
+    const comms::StarCommStats &cs = hw.comm().stats();
+    EXPECT_EQ(cs.recvCallbacks, 512u);
+    EXPECT_EQ(cs.chunksDelivered, 512u);
+    // Every PE's per-step dispatch cycles, summed: catches a timing shift
+    // the final cycle absorbs.
+    wse::Cycles marks = 0;
+    for (int x = 0; x < N; ++x)
+        for (int y = 0; y < N; ++y)
+            for (wse::Cycles c : hw.stepMarks(x, y))
+                marks += c;
+    EXPECT_EQ(marks, 198424u);
 }
 
 } // namespace

@@ -26,7 +26,7 @@ class DsdTest : public ::testing::Test
         wse::Cycles consumed = 0;
         static int counter = 0;
         std::string name = "t" + std::to_string(counter++);
-        pe.registerTask(name, wse::TaskKind::Local,
+        pe.registerTask(name,
                         [&](wse::TaskContext &ctx) {
                             fn(ctx);
                             consumed = ctx.consumed();
@@ -179,7 +179,7 @@ void
 runInTask(const std::function<void(wse::TaskContext &)> &fn)
 {
     wse::Simulator sim(ArchParams::wse3(), 1, 1);
-    sim.pe(0, 0).registerTask("t", wse::TaskKind::Local, fn);
+    sim.pe(0, 0).registerTask("t", fn);
     sim.pe(0, 0).activate("t", 0);
     sim.run();
 }

@@ -1,8 +1,4 @@
-#include <gtest/gtest.h>
-
-#include "support/error.h"
-#include "wse/fabric.h"
-#include "wse/simulator.h"
+#include "test_helpers.h"
 
 namespace wsc::test {
 namespace {
@@ -29,10 +25,9 @@ class FabricTest : public ::testing::Test
     wse::DeliveryFn
     collect()
     {
-        return [this](const wse::StreamDelivery &d,
-                      const std::vector<float> &payload) {
-            deliveries.push_back(
-                {d.peX, d.peY, d.distance, d.completeAt, payload});
+        return [this](const wse::StreamDelivery &d) {
+            deliveries.push_back({d.peX, d.peY, d.distance, d.completeAt,
+                                  d.payload.data()});
         };
     }
 };
@@ -41,8 +36,8 @@ TEST_F(FabricTest, SingleHopDeliveryCarriesPayload)
 {
     Simulator sim(ArchParams::wse3(), 3, 1);
     std::vector<float> payload = {1.0f, 2.0f, 3.0f};
-    sim.fabric().sendStream(0, 0, Direction::East, {1}, payload, 0,
-                            collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1}, payload, 0,
+                   collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 1u);
     EXPECT_EQ(deliveries[0].x, 1);
@@ -55,8 +50,8 @@ TEST_F(FabricTest, SingleHopDeliveryCarriesPayload)
 TEST_F(FabricTest, MulticastDeliversAtEachListedDistance)
 {
     Simulator sim(ArchParams::wse3(), 5, 1);
-    sim.fabric().sendStream(0, 0, Direction::East, {1, 2, 3},
-                            {1.0f, 2.0f}, 0, collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1, 2, 3},
+                   {1.0f, 2.0f}, 0, collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 3u);
     EXPECT_EQ(deliveries[0].distance, 1);
@@ -70,8 +65,8 @@ TEST_F(FabricTest, MulticastDeliversAtEachListedDistance)
 TEST_F(FabricTest, SkippedDistancesForwardWithoutDelivering)
 {
     Simulator sim(ArchParams::wse3(), 5, 1);
-    sim.fabric().sendStream(0, 0, Direction::East, {3}, {1.0f}, 0,
-                            collect());
+    sendHostStream(sim, 0, 0, Direction::East, {3}, {1.0f}, 0,
+                   collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 1u);
     EXPECT_EQ(deliveries[0].x, 3);
@@ -80,8 +75,8 @@ TEST_F(FabricTest, SkippedDistancesForwardWithoutDelivering)
 TEST_F(FabricTest, StreamsTruncateAtTheGridEdge)
 {
     Simulator sim(ArchParams::wse3(), 2, 1);
-    sim.fabric().sendStream(0, 0, Direction::East, {1, 2, 3}, {1.0f}, 0,
-                            collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1, 2, 3}, {1.0f}, 0,
+                   collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 1u); // only distance 1 exists
 }
@@ -90,7 +85,7 @@ TEST_F(FabricTest, AllFourDirectionsWork)
 {
     Simulator sim(ArchParams::wse3(), 3, 3);
     for (Direction d : wse::allDirections())
-        sim.fabric().sendStream(1, 1, d, {1}, {1.0f}, 0, collect());
+        sendHostStream(sim, 1, 1, d, {1}, {1.0f}, 0, collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 4u);
     std::set<std::pair<int, int>> targets;
@@ -108,10 +103,10 @@ TEST_F(FabricTest, LinkContentionSerializesStreams)
     const Cycles m = 100;
     std::vector<float> payload(m, 1.0f);
     // Two streams from the same sender on the same link.
-    sim.fabric().sendStream(0, 0, Direction::East, {1}, payload, 0,
-                            collect());
-    sim.fabric().sendStream(0, 0, Direction::East, {1}, payload, 0,
-                            collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1}, payload, 0,
+                   collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1}, payload, 0,
+                   collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 2u);
     Cycles first = std::min(deliveries[0].at, deliveries[1].at);
@@ -126,10 +121,10 @@ TEST_F(FabricTest, OppositeDirectionsDoNotContend)
     const Cycles m = 100;
     std::vector<float> payload(m, 1.0f);
     // PE1 sends east and west simultaneously: different links.
-    sim.fabric().sendStream(1, 0, Direction::East, {1}, payload, 0,
-                            collect());
-    sim.fabric().sendStream(1, 0, Direction::West, {1}, payload, 0,
-                            collect());
+    sendHostStream(sim, 1, 0, Direction::East, {1}, payload, 0,
+                   collect());
+    sendHostStream(sim, 1, 0, Direction::West, {1}, payload, 0,
+                   collect());
     sim.run();
     ASSERT_EQ(deliveries.size(), 2u);
     // Both land around the same time; sender ramp serializes injection,
@@ -148,14 +143,14 @@ TEST_F(FabricTest, SelfTransmitOccupiesSenderOnWse2)
     std::vector<float> payload(m, 1.0f);
 
     Simulator sim3(ArchParams::wse3(), 2, 1);
-    sim3.fabric().sendStream(0, 0, Direction::East, {1}, payload, 0,
-                             collect());
+    sendHostStream(sim3, 0, 0, Direction::East, {1}, payload, 0,
+                   collect());
     sim3.run();
     Cycles free3 = sim3.pe(0, 0).workFree();
 
     Simulator sim2(ArchParams::wse2(), 2, 1);
-    sim2.fabric().sendStream(0, 0, Direction::East, {1}, payload, 0,
-                             collect());
+    sendHostStream(sim2, 0, 0, Direction::East, {1}, payload, 0,
+                   collect());
     sim2.run();
     Cycles free2 = sim2.pe(0, 0).workFree();
 
@@ -175,8 +170,8 @@ TEST_F(FabricTest, SwitchReconfigCostsMoreOnWse2)
 TEST_F(FabricTest, WaveletStatsCountHops)
 {
     Simulator sim(ArchParams::wse3(), 4, 1);
-    sim.fabric().sendStream(0, 0, Direction::East, {1, 3},
-                            {1.0f, 2.0f}, 0, collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1, 3},
+                   {1.0f, 2.0f}, 0, collect());
     sim.run();
     // 2 wavelets over 3 hops.
     EXPECT_EQ(sim.stats().waveletsSent, 6u);
@@ -187,8 +182,8 @@ TEST_F(FabricTest, PayloadIsSnapshottedPerDelivery)
 {
     Simulator sim(ArchParams::wse3(), 3, 1);
     std::vector<float> payload = {7.0f};
-    sim.fabric().sendStream(0, 0, Direction::East, {1, 2}, payload, 0,
-                            collect());
+    sendHostStream(sim, 0, 0, Direction::East, {1, 2}, payload, 0,
+                   collect());
     payload[0] = -1.0f; // mutation after the call must not be visible
     sim.run();
     ASSERT_EQ(deliveries.size(), 2u);

@@ -20,6 +20,7 @@
 #include "ir/verifier.h"
 #include "model/reference.h"
 #include "transforms/pipeline.h"
+#include "wse/payload.h"
 #include "wse/simulator.h"
 
 namespace wsc::test {
@@ -131,6 +132,26 @@ endToEndError(fe::Benchmark &bench, const wse::ArchParams &arch, int nx,
             }
     }
     return maxErr;
+}
+
+/**
+ * Host-side stream send: copy `data` into a fresh slot of PE (x, y)'s
+ * payload ring and send it towards `dir`, delivering at every hop listed
+ * in `hops` (Fabric::sendStream's hop mask).
+ */
+inline wse::Cycles
+sendHostStream(wse::Simulator &sim, int x, int y, wse::Direction dir,
+               std::initializer_list<int> hops, std::vector<float> data,
+               wse::Cycles notBefore, wse::DeliveryFn deliver)
+{
+    uint32_t mask = 0;
+    for (int h : hops)
+        mask |= 1u << h;
+    wse::PayloadRef slot = sim.pe(x, y).payloadPool().acquire();
+    slot.mutableData() = std::move(data);
+    return sim.fabric().sendStream(
+        x, y, dir, mask, std::move(slot), notBefore,
+        std::make_shared<const wse::DeliveryFn>(std::move(deliver)));
 }
 
 } // namespace wsc::test

@@ -402,22 +402,21 @@ runBoundaryStreams(int threads)
     // collecting per-PE then flattening keeps the observation race-free.
     std::vector<std::vector<Recorded>> perPe(6);
     auto deliver = std::make_shared<const wse::DeliveryFn>(
-        [&perPe](const wse::StreamDelivery &d,
-                 const std::vector<float> &payload) {
+        [&perPe](const wse::StreamDelivery &d) {
             perPe[static_cast<size_t>(d.peX)].push_back(
-                {d.peX, d.distance, d.completeAt, payload[0]});
+                {d.peX, d.distance, d.completeAt, d.payload.data()[0]});
         });
     std::vector<float> first(40, 1.0f);
     std::vector<float> second(40, 2.0f);
     std::vector<float> third(40, 3.0f);
     // Same link chain, same injection cycle: contention must resolve
     // identically at every thread count.
-    sim.fabric().sendStream(0, 0, wse::Direction::East, {1, 3, 5}, first,
-                            0, *deliver);
-    sim.fabric().sendStream(0, 0, wse::Direction::East, {2, 4}, second, 0,
-                            *deliver);
-    sim.fabric().sendStream(1, 0, wse::Direction::East, {2, 4}, third, 10,
-                            *deliver);
+    sendHostStream(sim, 0, 0, wse::Direction::East, {1, 3, 5}, first,
+                   0, *deliver);
+    sendHostStream(sim, 0, 0, wse::Direction::East, {2, 4}, second, 0,
+                   *deliver);
+    sendHostStream(sim, 1, 0, wse::Direction::East, {2, 4}, third, 10,
+                   *deliver);
     sim.run();
     std::vector<Recorded> flat;
     for (const auto &pe : perPe)
@@ -453,17 +452,16 @@ TEST(ShardedDeterminism, HostSendsConvergingAcrossShardsTieBreak)
     for (int i = 0; i < 2; ++i) {
         wse::Simulator sim(wse::ArchParams::wse3(), 3, 1,
                            wse::SimOptions{i == 0 ? 1 : 3});
-        auto record = [&trace, i](const wse::StreamDelivery &,
-                                  const std::vector<float> &p) {
+        auto record = [&trace, i](const wse::StreamDelivery &d) {
             // All deliveries land on PE (1,0): single-owner recording.
-            trace[i].push_back({p[0], 0});
+            trace[i].push_back({d.payload.data()[0], 0});
         };
         std::vector<float> fromEast(50, 2.0f);
         std::vector<float> fromWest(50, 1.0f);
-        sim.fabric().sendStream(2, 0, wse::Direction::West, {1},
-                                fromEast, 0, record);
-        sim.fabric().sendStream(0, 0, wse::Direction::East, {1},
-                                fromWest, 0, record);
+        sendHostStream(sim, 2, 0, wse::Direction::West, {1},
+                       fromEast, 0, record);
+        sendHostStream(sim, 0, 0, wse::Direction::East, {1},
+                       fromWest, 0, record);
         trace[i].back().second = sim.run();
     }
     ASSERT_EQ(trace[0].size(), 2u);
@@ -479,15 +477,14 @@ TEST(ShardedDeterminism, ContendedLinkSerializesAcrossShards)
                            wse::SimOptions{threads});
         const wse::Cycles m = 100;
         std::vector<wse::Cycles> landed;
-        auto deliver = [&landed](const wse::StreamDelivery &d,
-                                 const std::vector<float> &) {
+        auto deliver = [&landed](const wse::StreamDelivery &d) {
             landed.push_back(d.completeAt);
         };
         std::vector<float> payload(m, 1.0f);
-        sim.fabric().sendStream(0, 0, wse::Direction::East, {2}, payload,
-                                0, deliver);
-        sim.fabric().sendStream(0, 0, wse::Direction::East, {2}, payload,
-                                0, deliver);
+        sendHostStream(sim, 0, 0, wse::Direction::East, {2}, payload,
+                       0, deliver);
+        sendHostStream(sim, 0, 0, wse::Direction::East, {2}, payload,
+                       0, deliver);
         sim.run();
         ASSERT_EQ(landed.size(), 2u);
         EXPECT_GE(std::max(landed[0], landed[1]),
@@ -595,11 +592,11 @@ TEST(ShardedDeterminism, SameCycleEventsOrderByOwnerPe)
     // the owner's dense grid id, independent of activation order.
     wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
     std::vector<int> order;
-    sim.pe(0, 0).registerTask("t", wse::TaskKind::Local,
+    sim.pe(0, 0).registerTask("t",
                               [&](wse::TaskContext &) {
                                   order.push_back(0);
                               });
-    sim.pe(1, 0).registerTask("t", wse::TaskKind::Local,
+    sim.pe(1, 0).registerTask("t",
                               [&](wse::TaskContext &) {
                                   order.push_back(1);
                               });

@@ -42,13 +42,13 @@ class StarCommTest : public ::testing::Test
                 for (int64_t z = 0; z < config.zSize; ++z)
                     send[static_cast<size_t>(z)] =
                         stamp(x, y, static_cast<int>(z));
-                pe.registerTask("driver", wse::TaskKind::Local,
+                pe.registerTask("driver",
                                 [this](wse::TaskContext &ctx) {
                                     comm->exchange(ctx, "send", "recv",
                                                    "done");
                                 });
                 pe.registerTask(
-                    "recv", wse::TaskKind::Local,
+                    "recv",
                     [this, x, y](wse::TaskContext &ctx) {
                         if (comm->config().perSectionCallbacks) {
                             auto [section, offset] =
@@ -61,7 +61,7 @@ class StarCommTest : public ::testing::Test
                         }
                         recvCount[{x, y}]++;
                     });
-                pe.registerTask("done", wse::TaskKind::Local,
+                pe.registerTask("done",
                                 [this, x, y](wse::TaskContext &) {
                                     doneCount[{x, y}]++;
                                 });
@@ -229,12 +229,12 @@ TEST_F(StarCommTest, BackToBackExchangesKeepEpochsSeparate)
     for (int x = 0; x < 3; ++x)
         for (int y = 0; y < 3; ++y) {
             wse::Pe &pe = sim->pe(x, y);
-            pe.registerTask("driver2", wse::TaskKind::Local,
+            pe.registerTask("driver2",
                             [this](wse::TaskContext &ctx) {
                                 comm->exchange(ctx, "send", "recv",
                                                "done2");
                             });
-            pe.registerTask("done2", wse::TaskKind::Local,
+            pe.registerTask("done2",
                             [this, x, y](wse::TaskContext &) {
                                 doneCount[{x, y}] += 10;
                             });
@@ -257,7 +257,7 @@ TEST_F(StarCommTest, OverlappingExchangeOnSameSiteIsRejected)
 {
     build(3, 3, fourNeighbourConfig(6));
     wse::Pe &pe = sim->pe(1, 1);
-    pe.registerTask("bad", wse::TaskKind::Local,
+    pe.registerTask("bad",
                     [this](wse::TaskContext &ctx) {
                         comm->exchange(ctx, "send", "recv", "done");
                         comm->exchange(ctx, "send", "recv", "done");
