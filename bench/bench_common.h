@@ -3,7 +3,8 @@
  * Shared helpers for the paper-figure benchmark harnesses.
  *
  * All harnesses print the paper's rows/series from *measured* simulator
- * runs (reduced step counts, steady-state extrapolation; DESIGN.md §4).
+ * runs (reduced step counts, steady-state extrapolation;
+ * docs/architecture.md §3, "Timing model").
  * Absolute numbers are not expected to match the authors' testbed — the
  * shape (orderings, rough factors, crossovers) is the reproduction
  * target; EXPERIMENTS.md records paper-vs-measured for every row.

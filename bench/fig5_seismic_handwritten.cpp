@@ -85,6 +85,7 @@ main()
     printf("Note: the steady-state interior metric is size-invariant "
            "here; the\npaper's mild size dependence comes from "
            "whole-wafer fill effects the\nsub-grid methodology "
-           "deliberately factors out (DESIGN.md #4).\n");
+           "deliberately factors out (docs/architecture.md §3,\n"
+           "\"Timing model\").\n");
     return 0;
 }

@@ -3,7 +3,8 @@
  * vs 128 A100 GPUs (Tursa, MPI+OpenACC) and 128 dual-EPYC-7742 nodes
  * (ARCHER2, MPI+OpenMP), in GPts/s. The cluster baselines use the
  * calibrated analytic memory-bound models (see model/cluster_model.h
- * and DESIGN.md §1 for the substitution rationale).
+ * and docs/architecture.md §3, "Timing model", for the substitution
+ * rationale).
  */
 
 #include "bench_common.h"

@@ -1,8 +1,8 @@
 /**
  * Large-grid acoustic scenario: the paper-scale sharded-simulation
- * trajectory (2-D shard tiles, conservative one-hop windows, static
- * shard-to-worker assignment). Runs a 96x96-PE acoustic wave kernel — the README scenario
- * table's large-grid row — under several tilings and prints the
+ * trajectory (one column strip per thread, conservative one-hop
+ * windows). Runs a 96x96-PE acoustic wave kernel — the README scenario
+ * table's large-grid row — at several thread counts and prints the
  * scheduler telemetry next to the (identical) simulation results.
  *
  * Build & run:  ./build/example_large_grid_acoustic
@@ -24,20 +24,12 @@ using namespace wsc;
 
 namespace {
 
-struct Config
-{
-    const char *label;
-    wse::ShardGrid grid;
-    int threads;
-};
-
 void
-runConfig(const Config &cfg, const fe::Benchmark &bench,
-          ir::Operation *module, int n)
+runWithThreads(int threads, const fe::Benchmark &bench,
+               ir::Operation *module, int n)
 {
-    wse::SimOptions options{cfg.threads};
-    options.shardGrid = cfg.grid;
-    wse::Simulator sim(wse::ArchParams::wse3(), n, n, options);
+    wse::Simulator sim(wse::ArchParams::wse3(), n, n,
+                       wse::SimOptions{threads});
     interp::CslProgramInstance instance(sim, module);
     auto init = bench.init;
     instance.setFieldInit("p", [init](int x, int y, int z) {
@@ -47,9 +39,9 @@ runConfig(const Config &cfg, const fe::Benchmark &bench,
     instance.launch();
     wse::Cycles final = sim.run(4000000000ULL);
     wse::ShardingTelemetry t = sim.telemetry();
-    printf("  %-24s %2dx%-2d tiles  cycles=%-8llu events=%-10llu "
+    printf("  threads=%-2d strips=%-2d cycles=%-8llu events=%-10llu "
            "windows=%-8llu shard_windows=%llu\n",
-           cfg.label, sim.shardRows(), sim.shardCols(),
+           threads, sim.shardCount(),
            static_cast<unsigned long long>(final),
            static_cast<unsigned long long>(sim.stats().eventsProcessed),
            static_cast<unsigned long long>(t.windows),
@@ -80,14 +72,8 @@ main()
     // Every row simulates the same wafer: cycles and events are
     // bit-identical by the sharded determinism contract — only the
     // scheduler telemetry (windows, shard-windows) changes with the
-    // tiling.
-    const Config configs[] = {
-        {"sequential", {1, 1}, 1},
-        {"1-D strips", {1, 4}, 4},
-        {"2x2 tiles", {2, 2}, 4},
-        {"4x4 tiles, 4 workers", {4, 4}, 4},
-    };
-    for (const Config &cfg : configs)
-        runConfig(cfg, bench, module.get(), n);
+    // thread count.
+    for (int threads : {1, 2, 4})
+        runWithThreads(threads, bench, module.get(), n);
     return 0;
 }

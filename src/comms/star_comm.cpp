@@ -44,6 +44,14 @@ directionRank(wse::Direction d)
     panic("unreachable direction");
 }
 
+/** Stream tag of chunk `chunk` of exchange epoch `epoch`: the epoch in
+ *  the high 32 bits, the chunk in the low 32 (decoded by onDelivery). */
+uint64_t
+streamTag(int64_t epoch, int64_t chunk)
+{
+    return static_cast<uint64_t>(epoch) << 32 | static_cast<uint64_t>(chunk);
+}
+
 /** Direction a stream travels so that the access's source is the sender:
  * data for access (dx, dy) travels from the source towards (-dx, -dy). */
 wse::Direction
@@ -78,7 +86,8 @@ StarComm::StarComm(wse::Simulator &sim, StarCommConfig config)
                    "access distance " << a.distance()
                                       << " exceeds the 31-hop routes");
     WSC_ASSERT(config_.zSize > 0, "exchange with empty column");
-    WSC_ASSERT(config_.numChunks >= 1, "numChunks must be >= 1");
+    WSC_ASSERT(config_.numChunks >= 1 && config_.numChunks <= UINT32_MAX,
+               "numChunks must be in [1, 2^32)");
     WSC_ASSERT(commElems() > 0, "trims leave nothing to communicate");
     WSC_ASSERT(config_.coeffs.empty() ||
                    config_.coeffs.size() == config_.accesses.size(),
@@ -106,14 +115,25 @@ StarComm::StarComm(wse::Simulator &sim, StarCommConfig config)
             if (e.dir == dir)
                 entry = &e;
         if (!entry) {
-            plan_.push_back({dir, {}});
+            plan_.push_back({dir, {}, nullptr});
             entry = &plan_.back();
         }
         entry->sections.emplace_back(a.distance(),
                                      static_cast<int>(i));
     }
-    for (PlanEntry &e : plan_)
+    for (PlanEntry &e : plan_) {
         std::sort(e.sections.begin(), e.sections.end());
+        const PlanEntry *entry = &e; // plan_ is fixed from here on.
+        e.deliver = std::make_shared<const wse::DeliveryFn>(
+            [this, entry](const wse::StreamDelivery &delivery) {
+                int section = -1;
+                for (const auto &[dist, idx] : entry->sections)
+                    if (dist == delivery.distance)
+                        section = idx;
+                WSC_ASSERT(section >= 0, "delivery at unexpected distance");
+                onDelivery(delivery, section);
+            });
+    }
 }
 
 int64_t
@@ -286,21 +306,9 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
                 continue;
             // Switch positions advance between chunks.
             sim_.fabric().switchReconfig(x, y, entry.dir, t);
-            const PlanEntry *sections = &entry; // Stable for the run.
-            auto deliver = std::make_shared<const wse::DeliveryFn>(
-                [this, sections, c,
-                 epoch](const wse::StreamDelivery &delivery) {
-                    int section = -1;
-                    for (const auto &[dist, idx] : sections->sections)
-                        if (dist == delivery.distance)
-                            section = idx;
-                    WSC_ASSERT(section >= 0,
-                               "delivery at unexpected distance");
-                    onDelivery(delivery, section, c, epoch);
-                });
             wse::Cycles injected = sim_.fabric().sendStream(
-                x, y, entry.dir, deliverMask, payload, t,
-                std::move(deliver));
+                x, y, entry.dir, deliverMask, payload, t, entry.deliver,
+                streamTag(epoch, c));
             lastInject = std::max(lastInject, injected);
         }
     }
@@ -441,9 +449,10 @@ StarComm::pruneEpochs(PeState &st, int64_t currentEpoch)
 }
 
 void
-StarComm::onDelivery(const wse::StreamDelivery &delivery, int accessIdx,
-                     int64_t chunkIdx, int64_t senderEpoch)
+StarComm::onDelivery(const wse::StreamDelivery &delivery, int accessIdx)
 {
+    const auto chunkIdx = static_cast<int64_t>(delivery.tag & 0xffffffffu);
+    const auto senderEpoch = static_cast<int64_t>(delivery.tag >> 32);
     wse::Pe &pe = sim_.pe(delivery.peX, delivery.peY);
     PeState &st = state(delivery.peX, delivery.peY);
     // The sender's epoch counter aligns with the receiver's because every

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,9 @@ class StarComm
 {
   public:
     StarComm(wse::Simulator &sim, StarCommConfig config);
+    /** Delivery callbacks and timers capture `this`. */
+    StarComm(const StarComm &) = delete;
+    StarComm &operator=(const StarComm &) = delete;
 
     const StarCommConfig &config() const { return config_; }
 
@@ -210,6 +214,9 @@ class StarComm
         wse::Direction dir;
         /** (distance, section index), ascending by distance. */
         std::vector<std::pair<int, int>> sections;
+        /** Shared by every stream of this direction; the stream tag
+         *  (streamTag) carries the chunk and epoch. */
+        std::shared_ptr<const wse::DeliveryFn> deliver;
     };
 
     PeState &state(int x, int y);
@@ -220,8 +227,9 @@ class StarComm
     int64_t numUnits() const;
     /** The epoch's bookkeeping, created on first use by either side. */
     EpochState &epochState(PeState &st, int64_t epoch);
-    void onDelivery(const wse::StreamDelivery &delivery, int accessIdx,
-                    int64_t chunkIdx, int64_t senderEpoch);
+    /** A stream landed section `accessIdx` of the chunk and epoch
+     *  packed in delivery.tag (streamTag). */
+    void onDelivery(const wse::StreamDelivery &delivery, int accessIdx);
     void announce(wse::Pe &pe, PeState &st, EpochState &es, int64_t unit,
                   wse::Cycles readyAt);
     /**
@@ -237,8 +245,8 @@ class StarComm
     /// @name Exchange watchdog (wse/fault.h)
     /// Armed per exchange when SimOptions::exchangeTimeoutCycles > 0.
     /// Timers are events owned by the waiting PE, so they replay
-    /// identically at any thread count and shard tiling; a timer that
-    /// fires after its exchange completed is stale and does nothing.
+    /// identically at any thread count; a timer that fires after its
+    /// exchange completed is stale and does nothing.
     /// @{
     /** Arm attempt `attempt`'s deadline, `timeout << attempt` cycles
      *  after `from` (exponential backoff). */

@@ -10,7 +10,7 @@
  * strong-scaling efficiency (halo exchange overhead at 128 devices)
  * captures their throughput to first order. The efficiency constants
  * are calibrated against the published absolute numbers from the
- * paper's source [5] (see DESIGN.md §1).
+ * paper's source [5] (see docs/architecture.md §3, "Timing model").
  */
 
 #ifndef WSC_MODEL_CLUSTER_MODEL_H

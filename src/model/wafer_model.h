@@ -1,9 +1,10 @@
 /**
  * @file
- * Wafer-scale performance extrapolation (DESIGN.md §4): functionally
- * simulate a small PE sub-grid, measure steady-state per-timestep cycles
- * on an interior PE (every interior PE executes an identical task
- * schedule), and extrapolate wafer throughput for the full problem size.
+ * Wafer-scale performance extrapolation (docs/architecture.md §3,
+ * "Timing model"): functionally simulate a small PE sub-grid, measure
+ * steady-state per-timestep cycles on an interior PE (every interior PE
+ * executes an identical task schedule), and extrapolate wafer
+ * throughput for the full problem size.
  * A test validates the extrapolation against direct whole-grid
  * simulations at sizes where both are feasible.
  */

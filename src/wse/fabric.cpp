@@ -51,6 +51,8 @@ allDirections()
 
 Fabric::Fabric(Simulator &sim) : sim_(sim)
 {
+    static_assert(sizeof(Segment) <= EventCallback::kInlineSize,
+                  "stream segments must schedule without allocating");
     linkFree_.assign(static_cast<size_t>(sim_.width()) * sim_.height() * 4,
                      0);
 }
@@ -172,7 +174,7 @@ Fabric::switchReconfig(int x, int y, Direction dir, Cycles notBefore)
 Cycles
 Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
                    PayloadRef payload, Cycles notBefore,
-                   std::shared_ptr<const DeliveryFn> deliver)
+                   std::shared_ptr<const DeliveryFn> deliver, uint64_t tag)
 {
     const ArchParams &p = sim_.params();
     const Cycles m = payload.data().size();
@@ -201,9 +203,9 @@ Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
         if (payloadFaultsEnabled_) {
             // The injection ordinal is counted by the sender-owned
             // call, so which stream a fault hits is independent of the
-            // thread count AND of the shard tiling — per-link send
-            // order is fixed by the deterministic event key, not by
-            // which shard the link lands in.
+            // thread count — per-link send order is fixed by the
+            // deterministic event key, not by which shard the link
+            // lands in.
             uint64_t nth = linkStreamCount_[li]++;
             for (const PayloadFaultEntry &f : payloadFaultsOfLink_[li]) {
                 if (f.nthStream != nth)
@@ -235,7 +237,7 @@ Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
         // counter or same-key ties become thread-count dependent.
         sim_.scheduleOnPe(
             sim_.peIndex(nx, ny), headArrives,
-            Segment{this, std::move(payload), std::move(deliver),
+            Segment{this, std::move(payload), std::move(deliver), tag,
                     static_cast<int16_t>(nx), static_cast<int16_t>(ny),
                     static_cast<uint8_t>(dir), 1,
                     static_cast<uint8_t>(maxDistance), deliverMask},
@@ -257,14 +259,16 @@ Fabric::segmentArrive(Segment &seg)
         // and the stream tail are done.
         Cycles rampStart = router.reserveWork(headAt, m);
         Cycles landed = std::max(rampStart + m, headAt + m);
-        StreamDelivery record{seg.x, seg.y, seg.hop, landed, seg.payload};
-        std::shared_ptr<const DeliveryFn> deliver = seg.deliver;
-        router.shard().push(
-            router.id(), landed,
-            [deliver = std::move(deliver),
-             record = std::move(record)]() mutable {
-                (*deliver)(record);
-            });
+        StreamDelivery record{seg.x, seg.y, seg.hop, landed, seg.payload,
+                              seg.tag};
+        auto deliverAtLanding = [deliver = seg.deliver,
+                                 record = std::move(record)] {
+            (*deliver)(record);
+        };
+        static_assert(sizeof(deliverAtLanding) <= EventCallback::kInlineSize,
+                      "delivery events must schedule without allocating");
+        router.shard().push(router.id(), landed,
+                            std::move(deliverAtLanding));
     }
 
     if (seg.hop < seg.maxDist)

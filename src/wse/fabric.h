@@ -9,8 +9,8 @@
  * local ramp delivery (when h is a delivery hop) and reserves the next
  * outgoing link. Because each hop's link and the receiving PE's work
  * timeline belong to that router's own PE, every mutation a segment
- * performs is local to the shard tile executing it, and a segment
- * crossing a tile boundary (E/W or N/S) always lies at least one hop
+ * performs is local to the shard (column strip) executing it, and a
+ * segment crossing a strip boundary always lies at least one hop
  * latency in the future — the conservative-window guarantee the sharded
  * simulator relies on.
  *
@@ -60,6 +60,7 @@ struct StreamDelivery
     int distance = 1;     ///< hops from the sender
     Cycles completeAt = 0;///< cycle at which the chunk fully landed
     PayloadRef payload;   ///< the delivered chunk (refcounted)
+    uint64_t tag = 0;     ///< the sender's Fabric::sendStream tag
 };
 
 using DeliveryFn = std::function<void(const StreamDelivery &)>;
@@ -92,12 +93,15 @@ class Fabric
      *
      * `deliver` runs once per receiving PE at chunk-landed time, after
      * the receiver's work timeline reservation for the ramp transfer.
+     * It receives `tag` back in StreamDelivery::tag, so one shared
+     * callback can serve many streams (StarComm packs chunk and epoch).
      *
      * Returns the cycle at which injection completes on the sender.
      */
     Cycles sendStream(int x, int y, Direction dir, uint32_t deliverMask,
                       PayloadRef payload, Cycles notBefore,
-                      std::shared_ptr<const DeliveryFn> deliver);
+                      std::shared_ptr<const DeliveryFn> deliver,
+                      uint64_t tag);
 
     /**
      * Charge the per-direction switch reconfiguration overhead at the
@@ -127,6 +131,7 @@ class Fabric
         Fabric *fab;
         PayloadRef payload;
         std::shared_ptr<const DeliveryFn> deliver;
+        uint64_t tag;       ///< handed back in StreamDelivery::tag
         int16_t x, y;       ///< router the head is arriving at
         uint8_t dir;        ///< Direction
         uint8_t hop;        ///< hop distance of (x, y) from the sender
@@ -157,7 +162,7 @@ class Fabric
     Simulator &sim_;
     /** Dense per-link next-free-cycle table, sized width*height*4 at
      *  construction. Each link is only ever touched by events owned by
-     *  its own PE, so entries are shard-partitioned by tile. */
+     *  its own PE, so entries are shard-partitioned by strip. */
     std::vector<Cycles> linkFree_;
 
     /// @name Fault injection (wse/fault.h)

@@ -92,7 +92,7 @@ enum class PayloadFaultKind : uint8_t
 /** Fault on the `nthStream`-th stream (0-based injection ordinal)
  *  injected on the outgoing link of PE (x, y) towards `dir`. The
  *  ordinal is counted on the link owner's shard, so selection is
- *  independent of the thread count and of the shard tiling. */
+ *  independent of the thread count. */
 struct PayloadFault
 {
     int x = 0;

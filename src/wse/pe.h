@@ -127,7 +127,7 @@ using TaskFn = std::function<void(TaskContext &)>;
 class Pe
 {
   public:
-    /** Constructed by Simulator: `shard` owns this PE's grid tile and
+    /** Constructed by Simulator: `shard` owns this PE's column strip and
      *  `id` is the dense grid index used in event-ordering keys. */
     Pe(Simulator &sim, Shard &shard, int x, int y, uint32_t id);
     /** Events and tasks hold the PE's address. */

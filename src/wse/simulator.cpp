@@ -166,24 +166,18 @@ Simulator::Simulator(const ArchParams &params, int width, int height,
                      params.fabricWidth, "x", params.fabricHeight, ")"));
     lookahead_ = std::max<Cycles>(1, params_.hopCycles);
 
-    resolveSharding();
-    const int numShards = shardRows_ * shardCols_;
+    // min(threads, width) balanced column strips; worker w runs strip w.
+    options_.threads = std::clamp(options_.threads, 1, width);
+    const int numShards = options_.threads;
     shards_.reserve(static_cast<size_t>(numShards));
     for (int s = 0; s < numShards; ++s)
         shards_.push_back(std::make_unique<Shard>(*this, s));
     for (auto &shard : shards_)
         shard->outbox_.resize(static_cast<size_t>(numShards));
-
-    // Balanced contiguous tile bands along each axis; a PE's shard is
-    // the (row band, column band) tile, row-major.
-    tileOfCol_.resize(static_cast<size_t>(width));
+    stripOfCol_.resize(static_cast<size_t>(width));
     for (int x = 0; x < width; ++x)
-        tileOfCol_[static_cast<size_t>(x)] = static_cast<int>(
-            (static_cast<int64_t>(x) * shardCols_) / width);
-    tileOfRow_.resize(static_cast<size_t>(height));
-    for (int y = 0; y < height; ++y)
-        tileOfRow_[static_cast<size_t>(y)] = static_cast<int>(
-            (static_cast<int64_t>(y) * shardRows_) / height);
+        stripOfCol_[static_cast<size_t>(x)] = static_cast<int>(
+            (static_cast<int64_t>(x) * numShards) / width);
 
     pes_.reserve(numPes_);
     for (int x = 0; x < width; ++x)
@@ -192,48 +186,6 @@ Simulator::Simulator(const ArchParams &params, int width, int height,
                 *this, shardOfPe(peIndex(x, y)), x, y, peIndex(x, y)));
     fabric_ = std::make_unique<Fabric>(*this);
     applyFaultPlan();
-}
-
-void
-Simulator::resolveSharding()
-{
-    int rows = options_.shardGrid.rows;
-    int cols = options_.shardGrid.cols;
-    if (rows > 0 || cols > 0) {
-        // Explicit tiling: a single set axis leaves the other at 1.
-        rows = std::clamp(std::max(rows, 1), 1, height_);
-        cols = std::clamp(std::max(cols, 1), 1, width_);
-    } else {
-        // Auto-derivation: the most-square factorisation r x c of the
-        // largest t <= threads that fits the grid. Most-square keeps
-        // boundary traffic (tile perimeter) minimal for a given shard
-        // count; height=1 grids degenerate to the classic strips.
-        rows = cols = 1;
-        const int64_t cells =
-            static_cast<int64_t>(width_) * static_cast<int64_t>(height_);
-        int target = static_cast<int>(std::min<int64_t>(
-            std::max(options_.threads, 1), cells));
-        for (int t = target; t >= 1; --t) {
-            int bestR = 0;
-            for (int r = 1; r <= std::min(t, height_); ++r) {
-                if (t % r != 0 || t / r > width_)
-                    continue;
-                if (bestR == 0 ||
-                    std::abs(r - t / r) < std::abs(bestR - t / bestR))
-                    bestR = r;
-            }
-            if (bestR != 0) {
-                rows = bestR;
-                cols = t / bestR;
-                break;
-            }
-        }
-    }
-    shardRows_ = rows;
-    shardCols_ = cols;
-    options_.shardGrid = ShardGrid{rows, cols};
-    numWorkers_ = std::clamp(options_.threads, 1, rows * cols);
-    options_.threads = numWorkers_;
 }
 
 void
@@ -296,10 +248,9 @@ Simulator::shardOfPe(uint32_t peIdx)
 {
     if (peIdx >= numPes_) // host
         return *shards_.front();
+    // x-major PE ids: a strip is one contiguous id range.
     uint32_t col = peIdx / static_cast<uint32_t>(height_);
-    uint32_t row = peIdx % static_cast<uint32_t>(height_);
-    int shard = tileOfRow_[row] * shardCols_ + tileOfCol_[col];
-    return *shards_[static_cast<size_t>(shard)];
+    return *shards_[static_cast<size_t>(stripOfCol_[col])];
 }
 
 const SimStats &
@@ -416,20 +367,6 @@ Simulator::finishRun()
     return end;
 }
 
-void
-Simulator::runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents)
-{
-    // Static assignment: this worker is the only thread that ever runs
-    // these shards, so every shard keeps a single consumer for its
-    // payload ring. Idle shards return from runWindow immediately.
-    for (size_t s = static_cast<size_t>(w); s < shards_.size();
-         s += static_cast<size_t>(numWorkers_)) {
-        Shard &shard = *shards_[s];
-        TlsGuard tls(this, &shard);
-        shard.runWindow(windowEnd, maxEvents);
-    }
-}
-
 bool
 Simulator::runWindows(uint64_t maxEvents)
 {
@@ -513,20 +450,27 @@ Simulator::runWindows(uint64_t maxEvents)
         }
     };
 
-    std::barrier barrier(numWorkers_, atBarrier);
+    const int numWorkers = shardCount();
+    std::barrier barrier(numWorkers, atBarrier);
 
     // Error-path invariant: a worker that catches an exception KEEPS
     // LOOPING to the next arrive_and_wait instead of leaving the loop —
     // breaking out without arriving would strand the siblings in the
     // barrier forever. The completion step then observes `failed` and
     // shuts every worker down through ctl.done.
+    //
+    // Worker w is the only thread that ever runs shard w, so every
+    // shard keeps a single consumer for its payload ring. An idle shard
+    // returns from runWindow immediately.
     auto worker = [&](int idx) {
+        Shard &shard = *shards_[static_cast<size_t>(idx)];
         for (;;) {
             barrier.arrive_and_wait();
             if (ctl.done)
                 break;
             try {
-                runAssignedShards(idx, ctl.windowEnd, maxEvents);
+                TlsGuard tls(this, &shard);
+                shard.runWindow(ctl.windowEnd, maxEvents);
             } catch (...) {
                 {
                     std::lock_guard<std::mutex> lock(errorMutex);
@@ -539,8 +483,8 @@ Simulator::runWindows(uint64_t maxEvents)
     };
 
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(numWorkers_) - 1);
-    for (int i = 1; i < numWorkers_; ++i)
+    threads.reserve(static_cast<size_t>(numWorkers) - 1);
+    for (int i = 1; i < numWorkers; ++i)
         threads.emplace_back(worker, i);
     worker(0);
     for (std::thread &t : threads)

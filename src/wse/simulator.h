@@ -3,15 +3,16 @@
  * Event-driven simulator for a (sub-)grid of WSE processing elements,
  * shardable across threads.
  *
- * The PE grid is partitioned into rows x cols rectangular shard tiles
- * (SimOptions::shardGrid, auto-derived from SimOptions::threads when
- * unset). Each shard owns its own 4-ary min-heap event queue, callback
- * slot pool, payload ring and statistics, so the hot schedule/dispatch
- * paths are entirely shard-local and lock-free.
+ * The PE grid is partitioned into min(SimOptions::threads, width)
+ * balanced column strips. PE indices are x-major, so each strip owns
+ * one contiguous range of dense PE ids. Each shard owns its own 4-ary
+ * min-heap event queue, callback slot pool, payload ring and
+ * statistics, so the hot schedule/dispatch paths are entirely
+ * shard-local and lock-free.
  *
  * Every run uses one loop of conservative lock-step windows: every
- * event that crosses a tile boundary (a fabric stream segment handed to
- * the E/W/N/S neighbour tile) carries at least the fabric hop latency,
+ * event that crosses a strip boundary (a fabric stream segment handed
+ * to the E/W neighbour strip) carries at least the fabric hop latency,
  * so all shards can safely execute the window [globalMin, globalMin +
  * hopCycles) in parallel. A lone shard has no cross-shard events and
  * runs one unbounded window. Cross-shard events travel through
@@ -19,30 +20,27 @@
  * window barrier (the barrier itself provides the memory
  * synchronisation, so the mailboxes are plain vectors).
  *
- * Shards are assigned to workers statically: worker w runs every shard
- * s with s % threads == w, for the whole run. More shards than workers
- * (an explicit shardGrid) simply gives each worker several tiles.
+ * Worker w runs exactly shard w for the whole run.
  *
  * Determinism: events are ordered by (cycle, owner PE, creator PE,
  * per-creator sequence). The owner is the PE whose state the event
  * mutates (all mutable simulator state is owner-partitioned), the
  * creator is the PE whose event scheduled it, and the sequence numbers
  * each creator's creations. This key is independent of thread
- * interleaving, of the tiling and of the shard-to-worker assignment,
- * so a threads=N run under any shardGrid is cycle-identical and
- * SimStats-identical to the threads=1 run — pinned by the `sharded`
- * test suite and the golden cycle counts.
+ * interleaving and of where the strip boundaries fall, so a threads=N
+ * run is cycle-identical and SimStats-identical to the threads=1 run —
+ * pinned by the `sharded` test suite and the golden cycle counts.
  *
  * The schedule/run path is allocation-free for inline-sized callbacks:
  * an event is a POD key in a pre-sized heap vector, and its callback
  * lives in a small-buffer EventCallback slot recycled through a free
  * list.
  *
- * Timing model (documented in DESIGN.md §4): each PE has a single work
- * timeline on which task execution, DSD compute and ramp data transfers
- * serialize — justified by the shared memory ports (128-bit read + 64-bit
- * write per cycle) that all of these contend for. Transfers between PEs
- * proceed concurrently across the fabric.
+ * Timing model (docs/architecture.md §3, "Timing model"): each PE has
+ * a single work timeline on which task execution, DSD compute and ramp
+ * data transfers serialize — justified by the shared memory ports
+ * (128-bit read + 64-bit write per cycle) that all of these contend
+ * for. Transfers between PEs proceed concurrently across the fabric.
  */
 
 #ifndef WSC_WSE_SIMULATOR_H
@@ -82,27 +80,15 @@ struct SimStats
     bool operator==(const SimStats &) const = default;
 };
 
-/**
- * Shard tiling of the PE grid: rows horizontal bands x cols vertical
- * bands of balanced contiguous extents. {0, 0} (the default) derives a
- * near-square tiling from SimOptions::threads. rows=1 reproduces the
- * classic 1-D column strips.
- */
-struct ShardGrid
-{
-    int rows = 0;
-    int cols = 0;
-};
-
 /** Execution options of one Simulator instance. */
 struct SimOptions
 {
     /**
-     * Worker threads. 1 with an unset shardGrid (the default) runs one
+     * Worker threads, one per column strip. 1 (the default) runs one
      * shard in one unbounded window on the calling thread; higher
-     * values run lock-step conservative windows over several shards
+     * values run lock-step conservative windows over several strips
      * with identical (cycle- and stats-identical) results. Clamped to
-     * the shard count — shards are the unit of parallelism.
+     * [1, width] — a strip is at least one PE column wide.
      */
     int threads = 1;
 
@@ -118,23 +104,14 @@ struct SimOptions
      * in a degraded (zero-filled) exchange.
      */
     Cycles exchangeTimeoutCycles = 0;
-
-    /**
-     * 2-D shard tiling (rows x cols tiles). Unset {0, 0} auto-derives
-     * the most-square tiling with `threads` tiles that fits the grid;
-     * explicit values are clamped to the grid extents. Any tiling
-     * produces bit-identical results — this knob only moves the
-     * parallelism/boundary-traffic trade-off.
-     */
-    ShardGrid shardGrid;
 };
 
 /**
  * Scheduler-level counters of the most recent run (merged across
  * shards by Simulator::telemetry()). These describe HOW the run was
  * executed — windows, allocation behaviour — never WHAT it computed;
- * every field may vary with threads/tiling while the simulation results
- * stay bit-identical.
+ * every field may vary with the thread count while the simulation
+ * results stay bit-identical.
  */
 struct ShardingTelemetry
 {
@@ -321,10 +298,10 @@ class EventCallback
 class Simulator;
 
 /**
- * One shard tile: a private event queue plus the per-shard resources
- * its PEs touch on the hot path (stats, payload ring, fault
- * counters). All members are accessed only by the one worker the shard
- * is assigned to, by the barrier completion step while every worker is
+ * One shard (column strip): a private event queue plus the per-shard
+ * resources its PEs touch on the hot path (stats, payload ring, fault
+ * counters). All members are accessed only by the shard's one worker,
+ * by the barrier completion step while every worker is
  * parked, or by the host thread while no run is active.
  * Cross-shard event creation goes through the outboxes, drained at
  * window barriers.
@@ -460,17 +437,12 @@ class Simulator
     const ArchParams &params() const { return params_; }
     int width() const { return width_; }
     int height() const { return height_; }
-    /** Worker threads (<= shardCount()); worker w runs the shards s
-     *  with s % threads() == w. */
-    int threads() const { return numWorkers_; }
-    /** Shard tiles the grid is partitioned into (rows * cols). */
+    /** Worker threads; worker w runs shard w. */
+    int threads() const { return shardCount(); }
+    /** Column strips the grid is partitioned into (== threads()). */
     int shardCount() const { return static_cast<int>(shards_.size()); }
-    /** Horizontal tile bands (shardGrid rows after clamping). */
-    int shardRows() const { return shardRows_; }
-    /** Vertical tile bands (shardGrid cols after clamping). */
-    int shardCols() const { return shardCols_; }
-    /** The options this simulator was built with (threads clamped,
-     *  shardGrid resolved to the actual tiling). */
+    /** The options this simulator was built with (threads clamped to
+     *  [1, width]). */
     const SimOptions &options() const { return options_; }
 
     /** Scheduler counters of the most recent run (merged on call).
@@ -588,12 +560,6 @@ class Simulator
     bool runWindows(uint64_t maxEvents);
     Cycles finishRun();
 
-    /** Resolve options_.shardGrid (auto-derivation, clamping) and the
-     *  worker count; called once from the constructor. */
-    void resolveSharding();
-    /** Run the current window on every shard assigned to worker `w`. */
-    void runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents);
-
     /** Push the fault plan's PE thresholds / fabric tables out. */
     void applyFaultPlan();
     /** Run the quiescence probes and mark halted PEs. */
@@ -612,15 +578,8 @@ class Simulator
     /** Global clock outside of run() (max shard clock after a run). */
     Cycles finalNow_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
-    /** Resolved tiling (options_.shardGrid after clamping). */
-    int shardRows_ = 1;
-    int shardCols_ = 1;
-    /** Worker threads (options_.threads clamped to the shard count). */
-    int numWorkers_ = 1;
-    /** Tile band per PE column / row; shard = row band * cols + col
-     *  band. rows=1 degenerates to the classic column strips. */
-    std::vector<int> tileOfCol_;
-    std::vector<int> tileOfRow_;
+    /** Strip (shard index) of each PE column. */
+    std::vector<int> stripOfCol_;
     /** Barrier-window counters of the current run (completion-step
      *  writes, barrier-ordered). */
     uint64_t windowCount_ = 0;

@@ -15,6 +15,7 @@ struct Delivery
     int distance;
     Cycles at;
     std::vector<float> data;
+    uint64_t tag;
 };
 
 class FabricTest : public ::testing::Test
@@ -27,7 +28,7 @@ class FabricTest : public ::testing::Test
     {
         return [this](const wse::StreamDelivery &d) {
             deliveries.push_back({d.peX, d.peY, d.distance, d.completeAt,
-                                  d.payload.data()});
+                                  d.payload.data(), d.tag});
         };
     }
 };
@@ -60,6 +61,22 @@ TEST_F(FabricTest, MulticastDeliversAtEachListedDistance)
     // Farther hops land strictly later.
     EXPECT_LT(deliveries[0].at, deliveries[1].at);
     EXPECT_LT(deliveries[1].at, deliveries[2].at);
+}
+
+TEST_F(FabricTest, TagReachesEveryDeliveryOfItsStream)
+{
+    // One shared callback serves both streams; the tag tells them apart
+    // at every hop (StarComm packs chunk and epoch into it).
+    Simulator sim(ArchParams::wse3(), 5, 1);
+    const uint64_t eastTag = (uint64_t{7} << 32) | 3;
+    sendHostStream(sim, 0, 0, Direction::East, {1, 2}, {1.0f}, 0,
+                   collect(), eastTag);
+    sendHostStream(sim, 4, 0, Direction::West, {1}, {2.0f}, 0, collect(),
+                   /*tag=*/42);
+    sim.run();
+    ASSERT_EQ(deliveries.size(), 3u);
+    for (const Delivery &d : deliveries)
+        EXPECT_EQ(d.tag, d.data[0] == 1.0f ? eastTag : 42u) << d.x;
 }
 
 TEST_F(FabricTest, SkippedDistancesForwardWithoutDelivering)

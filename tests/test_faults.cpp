@@ -47,11 +47,15 @@ struct FaultRun
     bool operator==(const FaultRun &) const = default;
 };
 
-/** Compile once, run faulted with the given options, capture all. */
+/** Compile once, run faulted at the given thread count, capture all. */
 FaultRun
-runFaultedOpts(ir::Operation *module, fe::Benchmark &bench, int nx,
-               int ny, wse::SimOptions options)
+runFaulted(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
+           int threads, const wse::FaultPlan &plan,
+           wse::Cycles timeoutCycles)
 {
+    wse::SimOptions options{threads};
+    options.faults = plan;
+    options.exchangeTimeoutCycles = timeoutCycles;
     wse::Simulator sim(wse::ArchParams::wse3(), nx, ny,
                        std::move(options));
     interp::CslProgramInstance instance(sim, module);
@@ -86,24 +90,14 @@ runFaultedOpts(ir::Operation *module, fe::Benchmark &bench, int nx,
     return r;
 }
 
-/** Compile once, run faulted at the given thread count, capture all. */
-FaultRun
-runFaulted(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
-           int threads, const wse::FaultPlan &plan,
-           wse::Cycles timeoutCycles)
-{
-    wse::SimOptions options{threads};
-    options.faults = plan;
-    options.exchangeTimeoutCycles = timeoutCycles;
-    return runFaultedOpts(module, bench, nx, ny, std::move(options));
-}
-
-/** threads=1 vs threads=4 must agree bit-for-bit under the plan;
- *  returns the sequential run for scenario-specific assertions. */
+/** threads=1 vs each of `threadCounts` must agree bit-for-bit under
+ *  the plan; returns the sequential run for scenario-specific
+ *  assertions. */
 FaultRun
 expectFaultEquivalence(fe::Benchmark bench, int nx, int ny,
                        const wse::FaultPlan &plan,
-                       wse::Cycles timeoutCycles)
+                       wse::Cycles timeoutCycles,
+                       std::initializer_list<int> threadCounts = {4})
 {
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -112,22 +106,24 @@ expectFaultEquivalence(fe::Benchmark bench, int nx, int ny,
 
     FaultRun sequential =
         runFaulted(module.get(), bench, nx, ny, 1, plan, timeoutCycles);
-    FaultRun sharded =
-        runFaulted(module.get(), bench, nx, ny, 4, plan, timeoutCycles);
-
-    EXPECT_EQ(static_cast<int>(sequential.outcome),
-              static_cast<int>(sharded.outcome))
-        << wse::simOutcomeName(sequential.outcome) << " vs "
-        << wse::simOutcomeName(sharded.outcome);
-    EXPECT_EQ(sequential.finalCycle, sharded.finalCycle);
-    EXPECT_TRUE(sequential.stats == sharded.stats);
-    EXPECT_TRUE(sequential.faults == sharded.faults);
-    EXPECT_EQ(sequential.haltedPes, sharded.haltedPes);
-    EXPECT_EQ(sequential.degradedPes, sharded.degradedPes);
-    EXPECT_EQ(sequential.blocked, sharded.blocked);
-    EXPECT_EQ(sequential.unblocks, sharded.unblocks);
-    EXPECT_EQ(sequential.fields, sharded.fields);
-    EXPECT_TRUE(sequential == sharded);
+    for (int threads : threadCounts) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        FaultRun sharded = runFaulted(module.get(), bench, nx, ny, threads,
+                                      plan, timeoutCycles);
+        EXPECT_EQ(static_cast<int>(sequential.outcome),
+                  static_cast<int>(sharded.outcome))
+            << wse::simOutcomeName(sequential.outcome) << " vs "
+            << wse::simOutcomeName(sharded.outcome);
+        EXPECT_EQ(sequential.finalCycle, sharded.finalCycle);
+        EXPECT_TRUE(sequential.stats == sharded.stats);
+        EXPECT_TRUE(sequential.faults == sharded.faults);
+        EXPECT_EQ(sequential.haltedPes, sharded.haltedPes);
+        EXPECT_EQ(sequential.degradedPes, sharded.degradedPes);
+        EXPECT_EQ(sequential.blocked, sharded.blocked);
+        EXPECT_EQ(sequential.unblocks, sharded.unblocks);
+        EXPECT_EQ(sequential.fields, sharded.fields);
+        EXPECT_TRUE(sequential == sharded);
+    }
     return sequential;
 }
 
@@ -589,9 +585,9 @@ TEST(FaultUnit, PayloadCorruptionCopiesSharedChunk)
     wse::PayloadRef chunk = sim.pe(1, 0).payloadPool().acquire();
     chunk.mutableData().assign(16, 1.0f);
     sim.fabric().sendStream(1, 0, wse::Direction::East, 1u << 1, chunk, 0,
-                            deliver);
+                            deliver, /*tag=*/0);
     sim.fabric().sendStream(1, 0, wse::Direction::West, 1u << 1, chunk, 0,
-                            deliver);
+                            deliver, /*tag=*/0);
     chunk.reset();
     sim.run();
 
@@ -653,67 +649,29 @@ TEST(FaultUnit, StutterSlowsWork)
 }
 
 //===----------------------------------------------------------------------===
-// Shard-tiling determinism under fault plans (PR 10)
+// Strip-boundary determinism under fault plans
 //===----------------------------------------------------------------------===
 
-/**
- * A fault plan is part of the simulated world, so it must replay
- * bit-exactly not only at any thread count but under any shard tiling:
- * injection ordinals are counted on the owning link's shard in
- * deterministic event order, never off scheduling artifacts. Compares
- * threads=1 against 1-D strips and two 2-D tilings — outcome, fault
- * counters, diagnosis rows AND field bytes.
- */
-void
-expectFaultTilingEquivalence(fe::Benchmark bench, int nx, int ny,
-                             const wse::FaultPlan &plan,
-                             wse::Cycles timeoutCycles)
-{
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    FaultRun sequential =
-        runFaulted(module.get(), bench, nx, ny, 1, plan, timeoutCycles);
-    const wse::ShardGrid tilings[] = {{1, 4}, {2, 2}, {4, 2}};
-    for (const wse::ShardGrid &grid : tilings) {
-        wse::SimOptions options{4};
-        options.faults = plan;
-        options.exchangeTimeoutCycles = timeoutCycles;
-        options.shardGrid = grid;
-        FaultRun tiled =
-            runFaultedOpts(module.get(), bench, nx, ny, options);
-        EXPECT_EQ(static_cast<int>(sequential.outcome),
-                  static_cast<int>(tiled.outcome))
-            << grid.rows << "x" << grid.cols;
-        EXPECT_EQ(sequential.finalCycle, tiled.finalCycle)
-            << grid.rows << "x" << grid.cols;
-        EXPECT_TRUE(sequential.stats == tiled.stats)
-            << grid.rows << "x" << grid.cols;
-        EXPECT_TRUE(sequential.faults == tiled.faults)
-            << grid.rows << "x" << grid.cols;
-        EXPECT_EQ(sequential.haltedPes, tiled.haltedPes);
-        EXPECT_EQ(sequential.degradedPes, tiled.degradedPes);
-        EXPECT_EQ(sequential.blocked, tiled.blocked);
-        EXPECT_EQ(sequential.unblocks, tiled.unblocks);
-        EXPECT_EQ(sequential.fields, tiled.fields)
-            << grid.rows << "x" << grid.cols;
-    }
-}
+// A fault plan is part of the simulated world, so it must replay
+// bit-exactly wherever the strip boundaries fall: injection ordinals
+// are counted on the owning link's shard in deterministic event order,
+// never off scheduling artifacts. The sweep covers uneven splits of 7
+// columns (t=3, t=4) and more threads than columns (t=8 clamps to one
+// strip per column) — outcome, fault counters, diagnosis rows AND field
+// bytes.
 
 TEST(FaultTiling, CompositePlanDiffusion)
 {
-    // Halt + N/S link drop + payload corruption crossing horizontal
-    // tile boundaries: the shape that would expose any tiling
-    // dependence in ordinal counting or recovery ordering.
+    // Halt + N/S link drop + payload corruption next to strip
+    // boundaries: the shape that would expose any dependence on the
+    // split in ordinal counting or recovery ordering.
     wse::FaultPlan plan;
     plan.seed = 7;
     plan.haltPe(5, 2, 40);
     plan.dropLink(3, 4, wse::Direction::North, 60);
     plan.corruptPayload(2, 2, wse::Direction::South, 1);
-    expectFaultTilingEquivalence(fe::makeDiffusion(7, 7, 4, 16), 7, 7,
-                                 plan, /*timeout=*/4000);
+    expectFaultEquivalence(fe::makeDiffusion(7, 7, 4, 16), 7, 7, plan,
+                           /*timeout=*/4000, {3, 4, 8});
 }
 
 TEST(FaultTiling, CompositePlanJacobian)
@@ -723,8 +681,8 @@ TEST(FaultTiling, CompositePlanJacobian)
     plan.haltPe(1, 5, 80);
     plan.stutterPe(4, 1, 0, 2000, 3);
     plan.dropPayload(3, 3, wse::Direction::East, 0);
-    expectFaultTilingEquivalence(fe::makeJacobian(7, 7, 4, 64), 7, 7,
-                                 plan, /*timeout=*/6000);
+    expectFaultEquivalence(fe::makeJacobian(7, 7, 4, 64), 7, 7, plan,
+                           /*timeout=*/6000, {3, 4, 8});
 }
 
 } // namespace

@@ -137,12 +137,14 @@ endToEndError(fe::Benchmark &bench, const wse::ArchParams &arch, int nx,
 /**
  * Host-side stream send: copy `data` into a fresh slot of PE (x, y)'s
  * payload ring and send it towards `dir`, delivering at every hop listed
- * in `hops` (Fabric::sendStream's hop mask).
+ * in `hops` (Fabric::sendStream's hop mask). `tag` comes back in
+ * StreamDelivery::tag.
  */
 inline wse::Cycles
 sendHostStream(wse::Simulator &sim, int x, int y, wse::Direction dir,
                std::initializer_list<int> hops, std::vector<float> data,
-               wse::Cycles notBefore, wse::DeliveryFn deliver)
+               wse::Cycles notBefore, wse::DeliveryFn deliver,
+               uint64_t tag = 0)
 {
     uint32_t mask = 0;
     for (int h : hops)
@@ -151,7 +153,7 @@ sendHostStream(wse::Simulator &sim, int x, int y, wse::Direction dir,
     slot.mutableData() = std::move(data);
     return sim.fabric().sendStream(
         x, y, dir, mask, std::move(slot), notBefore,
-        std::make_shared<const wse::DeliveryFn>(std::move(deliver)));
+        std::make_shared<const wse::DeliveryFn>(std::move(deliver)), tag);
 }
 
 } // namespace wsc::test

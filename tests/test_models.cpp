@@ -92,8 +92,9 @@ TEST_F(ModelTest, WaferMeasurementProducesSaneNumbers)
 
 TEST_F(ModelTest, ExtrapolationMatchesLargerDirectSimulation)
 {
-    // The homogeneous-work argument (DESIGN.md §4): per-step interior
-    // cycles measured on a small grid predict a larger grid's.
+    // The homogeneous-work argument (docs/architecture.md §3, "Timing
+    // model"): per-step interior cycles measured on a small grid
+    // predict a larger grid's.
     fe::Benchmark small = fe::makeJacobian(7, 7, 10, 48);
     model::MeasureOptions optSmall;
     optSmall.simGrid = 7;

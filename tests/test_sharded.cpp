@@ -1,12 +1,13 @@
 /**
  * @file
- * PR 5 + PR 10 coverage: the sharded parallel simulator.
+ * Coverage of the sharded parallel simulator.
  *
  * The determinism contract (docs/architecture.md §4): a threads=N run
- * under ANY shard tiling and worker count must be cycle-identical and
- * bit-identical in SimStats, step marks and field contents to the
- * threads=1 run. These tests pin that contract on all five paper
- * workloads across 1-D strips and several 2-D tilings, exercise
+ * (N column strips, wherever their boundaries fall) must be
+ * cycle-identical and bit-identical in SimStats, step marks and field
+ * contents to the threads=1 run. These tests pin that contract on all
+ * five paper workloads across even and uneven strip splits and more
+ * threads than columns, check how threads map to strips, exercise
  * cross-shard boundary delivery ordering directly at the fabric level,
  * check the window scheduler through its telemetry (which may vary;
  * results may not), and cover the allocation-recycling rings
@@ -50,16 +51,15 @@ struct RunResult
     }
 };
 
-/** Compile once, run with the given options, capture everything.
+/** Compile once, run at the given thread count, capture everything.
  *  Also returns the run's scheduler telemetry through `telemetry`
  *  (execution shape — never part of the equality contract). */
 RunResult
-runWorkloadOpts(ir::Operation *module, fe::Benchmark &bench, int nx,
-                int ny, wse::SimOptions options,
-                wse::ShardingTelemetry *telemetry = nullptr)
+runWorkload(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
+            int threads, wse::ShardingTelemetry *telemetry = nullptr)
 {
     wse::Simulator sim(wse::ArchParams::wse3(), nx, ny,
-                       std::move(options));
+                       wse::SimOptions{threads});
     interp::CslProgramInstance instance(sim, module);
     for (size_t f = 0; f < bench.program.numFields(); ++f) {
         int fi = static_cast<int>(f);
@@ -90,19 +90,10 @@ runWorkloadOpts(ir::Operation *module, fe::Benchmark &bench, int nx,
     return r;
 }
 
-/** Compile once, run at the given thread count, capture everything. */
-RunResult
-runWorkload(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
-            int threads)
-{
-    return runWorkloadOpts(module, bench, nx, ny,
-                           wse::SimOptions{threads});
-}
-
-/** Expect a == b with per-member messages (tiling named in `what`). */
+/** Expect a == b with per-member messages (thread count in `what`). */
 void
 expectRunsEqual(const RunResult &sequential, const RunResult &other,
-                const char *what)
+                const std::string &what)
 {
     EXPECT_EQ(sequential.finalCycle, other.finalCycle) << what;
     EXPECT_EQ(sequential.stats.eventsProcessed,
@@ -124,8 +115,9 @@ expectRunsEqual(const RunResult &sequential, const RunResult &other,
 }
 
 /**
- * threads=1 vs threads=4 (auto-tiled), 1-D column strips and three
- * distinct explicit 2-D tilings must all agree bit-for-bit.
+ * threads=1 vs threads in {2, 3, 4, width + 1} must all agree
+ * bit-for-bit: even and uneven strip splits (3 strips of 7 or 8
+ * columns), and more threads than columns (one strip per column).
  */
 void
 expectShardedEquivalence(fe::Benchmark bench, int nx, int ny)
@@ -136,29 +128,10 @@ expectShardedEquivalence(fe::Benchmark bench, int nx, int ny)
     transforms::runPipeline(module.get());
 
     RunResult sequential = runWorkload(module.get(), bench, nx, ny, 1);
-    expectRunsEqual(sequential,
-                    runWorkload(module.get(), bench, nx, ny, 4),
-                    "threads=4 (auto tiling)");
-
-    struct TilingCase
-    {
-        wse::ShardGrid grid;
-        const char *what;
-    };
-    const TilingCase tilings[] = {
-        {{1, 4}, "1-D strips 1x4"},
-        {{2, 2}, "2-D tiles 2x2"},
-        {{4, 2}, "2-D tiles 4x2"},
-        {{2, 4}, "2-D tiles 2x4"},
-    };
-    for (const TilingCase &t : tilings) {
-        wse::SimOptions options{4};
-        options.shardGrid = t.grid;
+    for (int threads : {2, 3, 4, nx + 1})
         expectRunsEqual(sequential,
-                        runWorkloadOpts(module.get(), bench, nx, ny,
-                                        options),
-                        t.what);
-    }
+                        runWorkload(module.get(), bench, nx, ny, threads),
+                        "threads=" + std::to_string(threads));
 }
 
 TEST(ShardedDeterminism, Jacobian)
@@ -188,9 +161,8 @@ TEST(ShardedDeterminism, Uvkbe)
 
 TEST(ShardedDeterminism, ThreadCountsBeyondWidthClamp)
 {
-    // threads > width used to clamp to one column strip per column;
-    // with 2-D tiling threads=16 on a 5x5 grid auto-derives a 4x4
-    // tiling (25 PEs across 16 tiles) and still matches bit-for-bit.
+    // threads > width clamps to one column strip per column: threads=16
+    // on a 5x5 grid runs 5 strips and still matches bit-for-bit.
     fe::Benchmark bench = fe::makeDiffusion(5, 5, 2, 16);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -202,84 +174,72 @@ TEST(ShardedDeterminism, ThreadCountsBeyondWidthClamp)
 }
 
 //===----------------------------------------------------------------------===
-// 2-D tiling resolution and the scheduler knobs (PR 10)
+// Threads -> column strips
 //===----------------------------------------------------------------------===
 
-TEST(ShardedDeterminism, AutoShardGridDerivation)
+TEST(ShardedDeterminism, StripsFollowThreads)
 {
-    wse::ArchParams arch = wse::ArchParams::wse3();
+    struct Case
     {
-        // threads=4 on a square grid: most-square 2x2 tiling.
-        wse::Simulator sim(arch, 8, 8, wse::SimOptions{4});
-        EXPECT_EQ(sim.shardRows(), 2);
-        EXPECT_EQ(sim.shardCols(), 2);
-        EXPECT_EQ(sim.shardCount(), 4);
-        EXPECT_EQ(sim.threads(), 4);
-    }
-    {
-        // Height-1 grids degenerate to the classic column strips.
-        wse::Simulator sim(arch, 6, 1, wse::SimOptions{6});
-        EXPECT_EQ(sim.shardRows(), 1);
-        EXPECT_EQ(sim.shardCols(), 6);
-    }
-    {
-        // Width-1 grids tile along rows instead of clamping to 1.
-        wse::Simulator sim(arch, 1, 6, wse::SimOptions{4});
-        EXPECT_EQ(sim.shardRows(), 4);
-        EXPECT_EQ(sim.shardCols(), 1);
-    }
-    {
-        // threads=16 on 5x5: the largest fitting factorisation, 4x4.
-        wse::Simulator sim(arch, 5, 5, wse::SimOptions{16});
-        EXPECT_EQ(sim.shardRows(), 4);
-        EXPECT_EQ(sim.shardCols(), 4);
-        EXPECT_EQ(sim.threads(), 16);
-    }
-    {
-        // Explicit tiling decouples shards from workers: six tiles can
-        // be driven by two workers (each statically runs three).
-        wse::SimOptions options{2};
-        options.shardGrid = {2, 3};
-        wse::Simulator sim(arch, 6, 6, options);
-        EXPECT_EQ(sim.shardCount(), 6);
-        EXPECT_EQ(sim.shardRows(), 2);
-        EXPECT_EQ(sim.shardCols(), 3);
-        EXPECT_EQ(sim.threads(), 2);
-    }
-    {
-        // Explicit tilings clamp to the grid extents.
-        wse::SimOptions options{4};
-        options.shardGrid = {9, 2};
-        wse::Simulator sim(arch, 4, 3, options);
-        EXPECT_EQ(sim.shardRows(), 3);
-        EXPECT_EQ(sim.shardCols(), 2);
+        int width, height, threads, strips;
+    };
+    const Case cases[] = {
+        {8, 8, 4, 4},  // even split
+        {3, 8, 4, 3},  // more threads than columns
+        {7, 7, 3, 3},  // uneven split: 3 + 2 + 2 columns
+        {6, 1, 6, 6},  // one column per strip
+        {1, 6, 4, 1},  // a width-1 grid is one strip
+        {5, 5, 16, 5}, // threads clamp to the width
+        {5, 5, 0, 1},  // non-positive thread counts run sequentially
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.width << "x" << c.height
+                                        << " threads=" << c.threads);
+        wse::Simulator sim(wse::ArchParams::wse3(), c.width, c.height,
+                           wse::SimOptions{c.threads});
+        ASSERT_EQ(sim.shardCount(), c.strips);
+        EXPECT_EQ(sim.threads(), c.strips);
+        EXPECT_EQ(sim.options().threads, c.strips);
+
+        // PE (x, y) lands in strip x * shards / width, and each strip is
+        // one contiguous range of dense PE ids starting where the
+        // previous strip ends.
+        uint32_t next = 0;
+        for (int s = 0; s < c.strips; ++s) {
+            for (int x = 0; x < c.width; ++x)
+                for (int y = 0; y < c.height; ++y) {
+                    if (x * c.strips / c.width != s)
+                        continue;
+                    EXPECT_EQ(&sim.shardOfPe(sim.peIndex(x, y)),
+                              &sim.pe(x, y).shard());
+                    EXPECT_EQ(sim.pe(x, y).shard().index(), s);
+                    EXPECT_EQ(sim.peIndex(x, y), next) << x << "," << y;
+                    next++;
+                }
+        }
+        EXPECT_EQ(next, static_cast<uint32_t>(c.width * c.height));
     }
 }
 
 TEST(ShardedDeterminism, TilingStressMatrix)
 {
-    // The tsan-gated stress matrix: one workload re-run under every
-    // tiling shape in {1x4, 2x2, 4x2} must match threads=1 bit-for-bit,
-    // including with fewer workers than shards (each worker then runs
-    // several statically assigned tiles per window).
+    // The tsan-gated stress matrix: one workload re-run at every thread
+    // count in {2, 3, 4, 9} on 8 columns (even, uneven, and more threads
+    // than columns) must match threads=1 bit-for-bit.
     fe::Benchmark bench = fe::makeDiffusion(8, 8, 4, 16);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
     RunResult sequential = runWorkload(module.get(), bench, 8, 8, 1);
-    const wse::ShardGrid tilings[] = {{1, 4}, {2, 2}, {4, 2}};
-    for (const wse::ShardGrid &g : tilings) {
-        for (int threads : {2, 4}) {
-            wse::SimOptions options{threads};
-            options.shardGrid = g;
-            wse::ShardingTelemetry telemetry;
-            RunResult run = runWorkloadOpts(module.get(), bench, 8, 8,
-                                            options, &telemetry);
-            expectRunsEqual(sequential, run, "tiling stress");
-            EXPECT_GT(telemetry.windows, 0u);
-            EXPECT_GT(telemetry.shardWindowsRun, 0u);
-        }
+    for (int threads : {2, 3, 4, 9}) {
+        wse::ShardingTelemetry telemetry;
+        RunResult run =
+            runWorkload(module.get(), bench, 8, 8, threads, &telemetry);
+        expectRunsEqual(sequential, run,
+                        "stress threads=" + std::to_string(threads));
+        EXPECT_GT(telemetry.windows, 0u);
+        EXPECT_GT(telemetry.shardWindowsRun, 0u);
     }
 }
 
@@ -296,13 +256,12 @@ TEST(ShardedDeterminism, OutboxSteadyStateAllocationFree)
     transforms::runPipeline(module.get());
 
     // One-hop windows mean one drain per hop of simulated time.
-    wse::SimOptions options{4};
     wse::ShardingTelemetry telemetry;
-    runWorkloadOpts(module.get(), bench, 8, 8, options, &telemetry);
+    runWorkload(module.get(), bench, 8, 8, 4, &telemetry);
     EXPECT_GT(telemetry.windows, 100u);
     // Growth to a high-water mark H costs O(log H) reallocations per
-    // lane; 12 lanes (2x2 tiling) x a generous log bound still sits
-    // far below one realloc per window.
+    // lane; 6 neighbour lanes (4 strips) x a generous log bound still
+    // sits far below one realloc per window.
     EXPECT_LT(telemetry.outboxReallocs, 150u);
     EXPECT_LT(telemetry.outboxReallocs, telemetry.windows / 4)
         << "windows=" << telemetry.windows
@@ -318,8 +277,8 @@ TEST(ShardedScale, Acoustic96Grid)
     // The paper-scale trajectory scenario: a 96x96 acoustic grid (the
     // README scenario table's large-grid run; examples/
     // large_grid_acoustic.cpp drives the same shape standalone) must
-    // stay bit-identical across threads=1, 1-D strips and three
-    // distinct 2-D tilings.
+    // stay bit-identical across threads=1 and 2, 3, 4 and 7 column
+    // strips (96 / 7 is an uneven split).
     fe::Benchmark bench = fe::makeAcoustic(96, 96, 2, 8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -328,24 +287,12 @@ TEST(ShardedScale, Acoustic96Grid)
 
     RunResult sequential =
         runWorkload(module.get(), bench, 96, 96, 1);
-    struct TilingCase
-    {
-        wse::ShardGrid grid;
-        const char *what;
-    };
-    const TilingCase tilings[] = {
-        {{1, 4}, "96x96 1-D strips 1x4"},
-        {{2, 2}, "96x96 2-D tiles 2x2"},
-        {{4, 2}, "96x96 2-D tiles 4x2"},
-        {{2, 4}, "96x96 2-D tiles 2x4"},
-    };
-    for (const TilingCase &t : tilings) {
-        wse::SimOptions options{4};
-        options.shardGrid = t.grid;
+    for (int threads : {2, 3, 4, 7}) {
         wse::ShardingTelemetry telemetry;
-        RunResult run = runWorkloadOpts(module.get(), bench, 96, 96,
-                                        options, &telemetry);
-        expectRunsEqual(sequential, run, t.what);
+        RunResult run =
+            runWorkload(module.get(), bench, 96, 96, threads, &telemetry);
+        expectRunsEqual(sequential, run,
+                        "96x96 threads=" + std::to_string(threads));
         EXPECT_GT(telemetry.windows, 0u);
     }
 }
@@ -353,8 +300,8 @@ TEST(ShardedScale, Acoustic96Grid)
 TEST(ShardedScale, Stress256Smoke)
 {
     // Smoke-scale 256x256 stress config: one step, shallow columns —
-    // enough to push 64k PEs through the cross-shard machinery at a
-    // 4x4 tiling without blowing the CI budget.
+    // enough to push 64k PEs through the cross-shard machinery on four
+    // strips without blowing the CI budget.
     fe::Benchmark bench = fe::makeAcoustic(256, 256, 1, 8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -363,15 +310,13 @@ TEST(ShardedScale, Stress256Smoke)
 
     RunResult sequential =
         runWorkload(module.get(), bench, 256, 256, 1);
-    wse::SimOptions options{4};
-    options.shardGrid = {4, 4};
     wse::ShardingTelemetry telemetry;
-    RunResult tiled = runWorkloadOpts(module.get(), bench, 256, 256,
-                                      options, &telemetry);
-    expectRunsEqual(sequential, tiled, "256x256 4x4 tiles");
+    RunResult sharded =
+        runWorkload(module.get(), bench, 256, 256, 4, &telemetry);
+    expectRunsEqual(sequential, sharded, "256x256 threads=4");
     EXPECT_GT(telemetry.windows, 0u);
     EXPECT_GT(telemetry.shardWindowsRun, telemetry.windows)
-        << "a 16-shard window should run several shard-windows";
+        << "a 4-strip window should run several shard-windows";
 }
 
 //===----------------------------------------------------------------------===
@@ -509,11 +454,10 @@ TEST(ShardedDeterminism, FrameArenaRecyclesAcrossNestedActivations)
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
 
-    wse::SimOptions tiled{4};
-    tiled.shardGrid = {2, 2};
-    for (const wse::SimOptions &options : {wse::SimOptions{}, tiled}) {
-        SCOPED_TRACE(options.threads);
-        wse::Simulator sim(wse::ArchParams::wse3(), 5, 5, options);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        wse::Simulator sim(wse::ArchParams::wse3(), 5, 5,
+                           wse::SimOptions{threads});
         interp::CslProgramInstance instance(sim, module.get());
         auto init = bench.init;
         instance.setFieldInit(bench.program.fieldName(0),
