@@ -7,7 +7,8 @@
  * docs/architecture.md §3, "Timing model").
  * Absolute numbers are not expected to match the authors' testbed — the
  * shape (orderings, rough factors, crossovers) is the reproduction
- * target; EXPERIMENTS.md records paper-vs-measured for every row.
+ * target, so the harnesses print measured rows and assert no paper
+ * figure.
  */
 
 #ifndef WSC_BENCH_BENCH_COMMON_H

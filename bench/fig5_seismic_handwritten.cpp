@@ -28,7 +28,7 @@ handwrittenCyclesPerStep(int simGrid, int64_t nz, int64_t steps)
     });
     hw.configure();
     hw.launch();
-    sim.run(8000000000ULL);
+    sim.runWithReport(8000000000ULL);
     const std::vector<wse::Cycles> &marks =
         hw.stepMarks(simGrid / 2, simGrid / 2);
     size_t w = 4;

@@ -105,7 +105,7 @@ BM_SchedulerThroughput(benchmark::State &state)
         for (int64_t i = 0; i < n; ++i)
             sim.schedule(base + static_cast<wse::Cycles>(i % 64),
                          [&sink] { sink++; });
-        sim.run();
+        sim.runWithReport();
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * n);
@@ -137,7 +137,7 @@ BM_ShardedTimestep(benchmark::State &state)
         });
         instance.configure();
         instance.launch();
-        sim.run(4000000000ULL);
+        sim.runWithReport(4000000000ULL);
         benchmark::DoNotOptimize(sim.now());
     }
     state.SetLabel("acoustic 24x24");
@@ -188,7 +188,7 @@ BM_ShardedTimestep2D(benchmark::State &state)
         state.ResumeTiming();
 
         instance->launch();
-        sim->run(4000000000ULL);
+        sim->runWithReport(4000000000ULL);
         benchmark::DoNotOptimize(sim->now());
 
         state.PauseTiming();
@@ -233,7 +233,7 @@ BM_InterpDispatch(benchmark::State &state)
         });
         instance.configure();
         instance.launch();
-        sim.run(4000000000ULL);
+        sim.runWithReport(4000000000ULL);
         benchmark::DoNotOptimize(sim.now());
     }
     state.SetLabel(reference ? "reference" : "compiled");
@@ -261,7 +261,7 @@ BM_SimulatedTimestep(benchmark::State &state)
         });
         instance.configure();
         instance.launch();
-        sim.run(4000000000ULL);
+        sim.runWithReport(4000000000ULL);
         benchmark::DoNotOptimize(sim.now());
     }
     state.counters["steps"] = 64;

@@ -77,7 +77,7 @@ main()
     instance.setFieldInit("a", init);
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
 
     model::ReferenceExecutor ref(
         program, [&](int, int64_t x, int64_t y, int64_t z) {

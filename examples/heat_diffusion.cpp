@@ -30,7 +30,7 @@ runOn(const wse::ArchParams &arch, const fe::Benchmark &bench,
     });
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     const std::vector<wse::Cycles> &marks = instance.stepMarks(5, 5);
     double perStep =
         static_cast<double>(marks.back() - marks[2]) /

@@ -37,7 +37,7 @@ runWithThreads(int threads, const fe::Benchmark &bench,
     });
     instance.configure();
     instance.launch();
-    wse::Cycles final = sim.run(4000000000ULL);
+    wse::Cycles final = sim.runWithReport(4000000000ULL).finalCycle;
     wse::ShardingTelemetry t = sim.telemetry();
     printf("  threads=%-2d strips=%-2d cycles=%-8llu events=%-10llu "
            "windows=%-8llu shard_windows=%llu\n",

@@ -57,7 +57,7 @@ main()
     });
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
 
     printf("=== simulation ===\n");
     printf("finished at cycle %llu; %llu PEs returned control to the "

@@ -49,7 +49,7 @@ main()
     }
     generated.configure();
     generated.launch();
-    sim.run();
+    sim.runWithReport();
     const std::vector<wse::Cycles> &genMarks =
         generated.stepMarks(N / 2, N / 2);
     double genPerStep =
@@ -66,7 +66,7 @@ main()
     handwritten.setInit(bench.init);
     handwritten.configure();
     handwritten.launch();
-    hwSim.run();
+    hwSim.runWithReport();
     const std::vector<wse::Cycles> &hwMarks =
         handwritten.stepMarks(N / 2, N / 2);
     double hwPerStep =

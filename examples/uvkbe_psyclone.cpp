@@ -63,7 +63,7 @@ main()
     }
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
 
     model::ReferenceExecutor ref(bench.program, bench.init);
     ref.run(1);
@@ -72,8 +72,9 @@ main()
         if (bench.program.isIntermediate(f))
             continue; // ke never leaves the PEs
         const std::string &name = bench.program.fieldName(f);
-        // Compare the joint interior: the fused kernel computes where
-        // *all* fused accesses are in bounds (see EXPERIMENTS.md).
+        // Compare the joint interior: the fused kernel computes only
+        // where *all* fused accesses are in bounds, one cell in from
+        // every edge.
         for (int x = 1; x < 9; ++x)
             for (int y = 1; y < 9; ++y) {
                 std::vector<float> col =

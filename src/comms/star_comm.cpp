@@ -378,17 +378,17 @@ StarComm::finishExchange(wse::Pe &pe, PeState &st, EpochState &es,
     pe.activate(doneCb, doneAt);
 }
 
-const StarCommStats &
+StarCommStats
 StarComm::stats() const
 {
-    statsCache_ = StarCommStats{};
+    StarCommStats total;
     for (const PeState &st : states_) {
-        statsCache_.exchangesStarted += st.stats.exchangesStarted;
-        statsCache_.chunksDelivered += st.stats.chunksDelivered;
-        statsCache_.recvCallbacks += st.stats.recvCallbacks;
-        statsCache_.timeouts += st.stats.timeouts;
+        total.exchangesStarted += st.stats.exchangesStarted;
+        total.chunksDelivered += st.stats.chunksDelivered;
+        total.recvCallbacks += st.stats.recvCallbacks;
+        total.timeouts += st.stats.timeouts;
     }
-    return statsCache_;
+    return total;
 }
 
 void
@@ -411,7 +411,7 @@ StarComm::onExchangeTimeout(wse::Pe &pe, int64_t epoch, int attempt)
     if (!st.exchangeActive || st.activeEpoch != epoch)
         return; // The exchange completed in time: the timer is stale.
     st.stats.timeouts++;
-    pe.shard().faultStats().exchangeTimeouts++;
+    pe.shardStats().exchangeTimeouts++;
     if (attempt < kExchangeMaxRetries) {
         // Extend the deadline with exponential backoff: a degraded
         // (slow) link deserves more patience than a dead one.
@@ -426,7 +426,7 @@ StarComm::degradeExchange(wse::Pe &pe, PeState &st, EpochState &es,
                           wse::Cycles readyAt)
 {
     es.degraded = true;
-    pe.shard().faultStats().exchangesDegraded++;
+    pe.shardStats().exchangesDegraded++;
     sim_.noteDegradedPe(pe.id());
     // Announce everything still outstanding: the receive callbacks run
     // over whatever sections made it, the pop zero-fills the rest, and

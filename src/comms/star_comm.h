@@ -155,7 +155,7 @@ class StarComm
     std::pair<int, int64_t> popCompletedSection(wse::Pe &pe);
 
     /** Aggregate statistics, summed across PEs on each call. */
-    const StarCommStats &stats() const;
+    StarCommStats stats() const;
 
     /** Expected number of arriving sections for PE (x, y); 0 marks a
      *  boundary (non-computing) PE. */
@@ -270,8 +270,6 @@ class StarComm
     std::vector<int> expected_;
     /** Deliveries grouped by travel direction (derived from config). */
     std::vector<PlanEntry> plan_;
-    /** Merged-stats cache refreshed by stats(). */
-    mutable StarCommStats statsCache_;
     bool setupDone_ = false;
 };
 

@@ -56,7 +56,10 @@ measureLoweredModule(ir::Operation *module, const fe::Benchmark &bench,
     }
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    const wse::SimReport report = sim.runWithReport(4000000000ULL);
+    if (report.outcome != wse::SimOutcome::Completed)
+        fatal(strcat("measuring ", bench.name, " on ", arch.name, ": ",
+                     report.diagnosis.toString()));
 
     WaferPerf perf;
     perf.benchmark = bench.name;

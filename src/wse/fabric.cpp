@@ -51,8 +51,6 @@ allDirections()
 
 Fabric::Fabric(Simulator &sim) : sim_(sim)
 {
-    static_assert(sizeof(Segment) <= EventCallback::kInlineSize,
-                  "stream segments must schedule without allocating");
     linkFree_.assign(static_cast<size_t>(sim_.width()) * sim_.height() * 4,
                      0);
 }
@@ -212,16 +210,16 @@ Fabric::sendStream(int x, int y, Direction dir, uint32_t deliverMask,
                     continue;
                 if (f.corrupt) {
                     payload = corruptCopy(sender, payload, li, nth);
-                    sender.shard().faultStats().payloadsCorrupted++;
+                    sender.shardStats().payloadsCorrupted++;
                 } else {
                     dropPayload = true;
-                    sender.shard().faultStats().payloadsDropped++;
+                    sender.shardStats().payloadsDropped++;
                 }
             }
         }
         if (linkFaultsEnabled_ && linkDownAt_[li] <= inject) {
             // Dead link: the wavelets leave the ramp and vanish.
-            sender.shard().faultStats().streamsDroppedByLinks++;
+            sender.shardStats().streamsDroppedByLinks++;
             return injectDone;
         }
         // The first hop's link belongs to the sender; reserve it at
@@ -265,8 +263,6 @@ Fabric::segmentArrive(Segment &seg)
                                  record = std::move(record)] {
             (*deliver)(record);
         };
-        static_assert(sizeof(deliverAtLanding) <= EventCallback::kInlineSize,
-                      "delivery events must schedule without allocating");
         router.shard().push(router.id(), landed,
                             std::move(deliverAtLanding));
     }
@@ -290,7 +286,7 @@ Fabric::forward(Segment &seg, Pe &router, Cycles headAt, Cycles m)
     if (linkFaultsEnabled_ && linkDownAt_[li] <= headAt) {
         // Mid-path link death: deliveries before this hop happened,
         // everything beyond it is lost.
-        router.shard().faultStats().streamsDroppedByLinks++;
+        router.shardStats().streamsDroppedByLinks++;
         return;
     }
 

@@ -94,7 +94,7 @@ SimDiagnosis::toString() const
     os << "simulation " << simOutcomeName(outcome) << " at cycle "
        << atCycle << " after " << eventsProcessed << " events";
     if (outcome == SimOutcome::EventBudgetExceeded)
-        os << " (budget " << eventBudget << ")";
+        os << " (event budget " << eventBudget << ")";
     os << "\n";
 
     if (!queues.empty()) {

@@ -18,8 +18,8 @@
  * reported by quiescence probes, the busiest PEs and the links still
  * reserved into the future. SimReport (wse/simulator.h) packages the
  * outcome of a run (completed / degraded / deadlock / budget-exceeded)
- * with the merged statistics and fault counters so callers — tests,
- * benches, a future compile service — observe fault outcomes
+ * with the merged statistics (fault counters included) so callers —
+ * tests, benches, the compile service — observe fault outcomes
  * programmatically instead of crashing or hanging.
  */
 
@@ -137,28 +137,6 @@ uint64_t faultMix(uint64_t v);
 
 /** Finite (never NaN/inf) garbage float derived from (seed, salt). */
 float faultCorruptionValue(uint64_t seed, uint64_t salt);
-
-/** Counters of injected faults and their consequences (merged across
- *  shards on report, like SimStats). */
-struct FaultStats
-{
-    /** PEs whose halt threshold lies within the finished run. */
-    uint64_t pesHalted = 0;
-    /** Streams killed by a dead link (injection- or mid-path). */
-    uint64_t streamsDroppedByLinks = 0;
-    /** Streams killed by a targeted payload-loss fault. */
-    uint64_t payloadsDropped = 0;
-    /** Streams whose payload was corrupted before injection. */
-    uint64_t payloadsCorrupted = 0;
-    /** Exchange-timeout checks that found an incomplete exchange
-     *  (each either re-arms with backoff or degrades). */
-    uint64_t exchangeTimeouts = 0;
-    /** Exchanges abandoned after the retry budget: missing sections
-     *  zero-filled and the owning PE marked degraded. */
-    uint64_t exchangesDegraded = 0;
-
-    bool operator==(const FaultStats &) const = default;
-};
 
 /** How a simulation run ended. */
 enum class SimOutcome : uint8_t

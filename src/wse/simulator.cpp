@@ -253,19 +253,25 @@ Simulator::shardOfPe(uint32_t peIdx)
     return *shards_[static_cast<size_t>(stripOfCol_[col])];
 }
 
-const SimStats &
-Simulator::stats()
+SimStats
+Simulator::stats() const
 {
-    mergedStats_ = SimStats{};
+    SimStats t;
     for (const auto &shard : shards_) {
-        mergedStats_.eventsProcessed += shard->stats_.eventsProcessed;
-        mergedStats_.waveletsSent += shard->stats_.waveletsSent;
-        mergedStats_.taskActivations += shard->stats_.taskActivations;
-        mergedStats_.dsdOps += shard->stats_.dsdOps;
-        mergedStats_.flops += shard->stats_.flops;
-        mergedStats_.memBytes += shard->stats_.memBytes;
+        const SimStats &s = shard->stats_;
+        t.eventsProcessed += s.eventsProcessed;
+        t.waveletsSent += s.waveletsSent;
+        t.taskActivations += s.taskActivations;
+        t.dsdOps += s.dsdOps;
+        t.flops += s.flops;
+        t.memBytes += s.memBytes;
+        t.streamsDroppedByLinks += s.streamsDroppedByLinks;
+        t.payloadsDropped += s.payloadsDropped;
+        t.payloadsCorrupted += s.payloadsCorrupted;
+        t.exchangeTimeouts += s.exchangeTimeouts;
+        t.exchangesDegraded += s.exchangesDegraded;
     }
-    return mergedStats_;
+    return t;
 }
 
 ShardingTelemetry
@@ -282,10 +288,7 @@ Simulator::telemetry() const
 uint64_t
 Simulator::fabricHops() const
 {
-    uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard->stats_.waveletsSent;
-    return total;
+    return stats().waveletsSent;
 }
 
 Cycles
@@ -338,19 +341,6 @@ Simulator::scheduleOnPe(uint32_t owner, Cycles at, EventCallback fn,
         from->outboxReallocs_++;
     lane.push_back(Shard::MailEntry{at, key, from->nextSeq_++,
                                     std::move(fn)});
-}
-
-bool
-Simulator::idle() const
-{
-    for (const auto &shard : shards_) {
-        if (!shard->heap_.empty())
-            return false;
-        for (const auto &lane : shard->outbox_)
-            if (!lane.empty())
-                return false;
-    }
-    return true;
 }
 
 Cycles
@@ -598,50 +588,42 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
     return d;
 }
 
-const SimReport &
+SimReport
 Simulator::runWithReport(uint64_t maxEvents)
 {
-    report_ = SimReport{};
+    SimReport report;
     windowCount_ = 0;
     shardWindowsRun_ = 0;
     for (auto &shard : shards_)
         shard->outboxReallocs_ = 0;
     bool overBudget = runWindows(maxEvents);
-    report_.finalCycle = finishRun();
-    report_.stats = stats();
+    report.finalCycle = finishRun();
+    report.stats = stats();
 
-    for (const auto &shard : shards_) {
-        const FaultStats &f = shard->faultStats_;
-        report_.faults.streamsDroppedByLinks += f.streamsDroppedByLinks;
-        report_.faults.payloadsDropped += f.payloadsDropped;
-        report_.faults.payloadsCorrupted += f.payloadsCorrupted;
-        report_.faults.exchangeTimeouts += f.exchangeTimeouts;
-        report_.faults.exchangesDegraded += f.exchangesDegraded;
-        report_.degradedPes.insert(report_.degradedPes.end(),
-                                   shard->degradedPes_.begin(),
-                                   shard->degradedPes_.end());
-    }
-    std::sort(report_.degradedPes.begin(), report_.degradedPes.end());
-    report_.degradedPes.erase(std::unique(report_.degradedPes.begin(),
-                                          report_.degradedPes.end()),
-                              report_.degradedPes.end());
+    for (const auto &shard : shards_)
+        report.degradedPes.insert(report.degradedPes.end(),
+                                  shard->degradedPes_.begin(),
+                                  shard->degradedPes_.end());
+    std::sort(report.degradedPes.begin(), report.degradedPes.end());
+    report.degradedPes.erase(std::unique(report.degradedPes.begin(),
+                                         report.degradedPes.end()),
+                             report.degradedPes.end());
 
     for (const PeHaltFault &h : options_.faults.peHalts)
-        if (h.at <= report_.finalCycle)
-            report_.haltedPes.push_back(peIndex(h.x, h.y));
-    std::sort(report_.haltedPes.begin(), report_.haltedPes.end());
-    report_.haltedPes.erase(std::unique(report_.haltedPes.begin(),
-                                        report_.haltedPes.end()),
-                            report_.haltedPes.end());
-    report_.faults.pesHalted = report_.haltedPes.size();
+        if (h.at <= report.finalCycle)
+            report.haltedPes.push_back(peIndex(h.x, h.y));
+    std::sort(report.haltedPes.begin(), report.haltedPes.end());
+    report.haltedPes.erase(std::unique(report.haltedPes.begin(),
+                                       report.haltedPes.end()),
+                           report.haltedPes.end());
 
     if (overBudget) {
-        report_.outcome = SimOutcome::EventBudgetExceeded;
+        report.outcome = SimOutcome::EventBudgetExceeded;
         std::vector<BlockedPeInfo> blocked;
         collectBlockedPes(blocked);
-        report_.diagnosis =
-            diagnose(report_.outcome, maxEvents, std::move(blocked));
-        return report_;
+        report.diagnosis =
+            diagnose(report.outcome, maxEvents, std::move(blocked));
+        return report;
     }
 
     // The queues are drained: ask the quiescence probes whether any PE
@@ -656,30 +638,20 @@ Simulator::runWithReport(uint64_t maxEvents)
     if (!liveBlocked)
         for (const auto &pe : pes_)
             if (!pe->pendingActivations().empty() &&
-                !pe->haltedAt(report_.finalCycle))
+                !pe->haltedAt(report.finalCycle))
                 liveBlocked = true;
 
     if (liveBlocked)
-        report_.outcome = SimOutcome::Deadlock;
-    else if (!report_.haltedPes.empty() || !report_.degradedPes.empty())
-        report_.outcome = SimOutcome::Degraded;
+        report.outcome = SimOutcome::Deadlock;
+    else if (!report.haltedPes.empty() || !report.degradedPes.empty())
+        report.outcome = SimOutcome::Degraded;
     else
-        report_.outcome = SimOutcome::Completed;
+        report.outcome = SimOutcome::Completed;
 
-    if (report_.outcome != SimOutcome::Completed)
-        report_.diagnosis =
-            diagnose(report_.outcome, maxEvents, std::move(blocked));
-    return report_;
-}
-
-Cycles
-Simulator::run(uint64_t maxEvents)
-{
-    const SimReport &r = runWithReport(maxEvents);
-    if (r.outcome == SimOutcome::EventBudgetExceeded)
-        fatal(strcat("simulation exceeded the event budget (livelock?)\n",
-                     r.diagnosis.toString()));
-    return r.finalCycle;
+    if (report.outcome != SimOutcome::Completed)
+        report.diagnosis =
+            diagnose(report.outcome, maxEvents, std::move(blocked));
+    return report;
 }
 
 } // namespace wsc::wse

@@ -31,10 +31,9 @@
  * run is cycle-identical and SimStats-identical to the threads=1 run —
  * pinned by the `sharded` test suite and the golden cycle counts.
  *
- * The schedule/run path is allocation-free for inline-sized callbacks:
- * an event is a POD key in a pre-sized heap vector, and its callback
- * lives in a small-buffer EventCallback slot recycled through a free
- * list.
+ * The schedule/run path is allocation-free: an event is a POD key in a
+ * pre-sized heap vector, and its callback lives in a small-buffer
+ * EventCallback slot recycled through a free list.
  *
  * Timing model (docs/architecture.md §3, "Timing model"): each PE has
  * a single work timeline on which task execution, DSD compute and ramp
@@ -66,7 +65,8 @@
 
 namespace wsc::wse {
 
-/** Aggregate statistics across a simulation. */
+/** Aggregate statistics across a simulation: one set per shard,
+ *  summed by Simulator::stats(). */
 struct SimStats
 {
     uint64_t eventsProcessed = 0;
@@ -76,6 +76,23 @@ struct SimStats
     uint64_t flops = 0;
     /** Local-memory traffic of DSD ops (reads + writes). */
     uint64_t memBytes = 0;
+
+    /// @name Injected faults and their consequences (wse/fault.h)
+    /// All 0 on a run without a FaultPlan or exchange watchdog.
+    /// @{
+    /** Streams killed by a dead link (injection- or mid-path). */
+    uint64_t streamsDroppedByLinks = 0;
+    /** Streams killed by a targeted payload-loss fault. */
+    uint64_t payloadsDropped = 0;
+    /** Streams whose payload was corrupted before injection. */
+    uint64_t payloadsCorrupted = 0;
+    /** Exchange-timeout checks that found an incomplete exchange
+     *  (each either re-arms with backoff or degrades). */
+    uint64_t exchangeTimeouts = 0;
+    /** Exchanges abandoned after the retry budget: missing sections
+     *  zero-filled and the owning PE marked degraded. */
+    uint64_t exchangesDegraded = 0;
+    /// @}
 
     bool operator==(const SimStats &) const = default;
 };
@@ -129,15 +146,14 @@ struct ShardingTelemetry
 
 /**
  * Everything a caller can observe about one finished run; returned by
- * Simulator::runWithReport() and kept in Simulator::report().
+ * Simulator::runWithReport().
  */
 struct SimReport
 {
     SimOutcome outcome = SimOutcome::Completed;
     Cycles finalCycle = 0;
     SimStats stats;
-    FaultStats faults;
-    /** Dense PE ids halted within the run (sorted). */
+    /** Dense PE ids whose halt threshold lies within the run (sorted). */
     std::vector<uint32_t> haltedPes;
     /** Dense PE ids that finished with a degraded (zero-filled)
      *  exchange (sorted, deduplicated). */
@@ -155,9 +171,9 @@ struct SimReport
 };
 
 /**
- * A move-only callable with inline small-buffer storage. Callables up to
- * kInlineSize bytes are stored in place (no heap allocation on the
- * schedule path); larger ones fall back to a single heap allocation.
+ * A move-only callable stored in place in a kInlineSize-byte buffer, so
+ * the schedule path never allocates. A callable that does not fit is a
+ * compile error: capture by reference or through a pointer instead.
  * Dispatch goes through a static per-type ops table (tagged dispatch
  * without per-instance virtual objects).
  */
@@ -176,17 +192,15 @@ class EventCallback
     EventCallback(F &&fn) // NOLINT: implicit by design (schedule sites)
     {
         using Fn = std::decay_t<F>;
-        // The nothrow-move requirement keeps slot-pool relocation (a
-        // noexcept path) safe; throwing-move callables go to the heap.
-        if constexpr (sizeof(Fn) <= kInlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            new (storage_) Fn(std::forward<F>(fn));
-            ops_ = &InlineOps<Fn>::ops;
-        } else {
-            new (storage_) Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = &HeapOps<Fn>::ops;
-        }
+        static_assert(sizeof(Fn) <= kInlineSize,
+                      "event callbacks must fit EventCallback::kInlineSize");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "event callbacks must not be over-aligned");
+        // Slot-pool relocation is a noexcept path.
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "event callbacks must be nothrow-movable");
+        new (storage_) Fn(std::forward<F>(fn));
+        ops_ = &InlineOps<Fn>::ops;
     }
 
     EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
@@ -255,32 +269,6 @@ class EventCallback
         static constexpr Ops ops = {invoke, relocate, destroy};
     };
 
-    template <typename Fn>
-    struct HeapOps
-    {
-        static Fn *&
-        ptr(void *p)
-        {
-            return *static_cast<Fn **>(p);
-        }
-        static void
-        invoke(void *p)
-        {
-            (*ptr(p))();
-        }
-        static void
-        relocate(void *dst, void *src)
-        {
-            new (dst) Fn *(ptr(src));
-        }
-        static void
-        destroy(void *p)
-        {
-            delete ptr(p);
-        }
-        static constexpr Ops ops = {invoke, relocate, destroy};
-    };
-
     void
     moveFrom(EventCallback &other)
     {
@@ -299,10 +287,10 @@ class Simulator;
 
 /**
  * One shard (column strip): a private event queue plus the per-shard
- * resources its PEs touch on the hot path (stats, payload ring, fault
- * counters). All members are accessed only by the shard's one worker,
- * by the barrier completion step while every worker is
- * parked, or by the host thread while no run is active.
+ * resources its PEs touch on the hot path (stats, payload ring). All
+ * members are accessed only by the shard's one worker, by the barrier
+ * completion step while every worker is parked, or by the host thread
+ * while no run is active.
  * Cross-shard event creation goes through the outboxes, drained at
  * window barriers.
  */
@@ -316,15 +304,12 @@ class Shard
     /** Local simulation time (== global time at window barriers). */
     Cycles now() const { return now_; }
 
-    /** Shard-local statistics (merged by Simulator::stats()). */
+    /** Shard-local statistics (summed by Simulator::stats()). Mutated
+     *  only by events owned by this shard's PEs. */
     SimStats &stats() { return stats_; }
 
     /** Shard-local payload ring (see wse/payload.h). */
     PayloadPool &payloadPool() { return payloadPool_; }
-
-    /** Shard-local fault counters (merged by Simulator reports).
-     *  Mutated only by events owned by this shard's PEs. */
-    FaultStats &faultStats() { return faultStats_; }
 
     /**
      * Schedule an event owned by `owner` (a PE of this shard, or the
@@ -413,8 +398,6 @@ class Shard
     uint64_t processed_ = 0;
     /** Outbox lane capacity growths (ShardingTelemetry). */
     uint64_t outboxReallocs_ = 0;
-    /** Fault counters of this shard's PEs (wse/fault.h). */
-    FaultStats faultStats_;
     /** PEs of this shard that degraded an exchange (unsorted; merged
      *  and sorted into SimReport::degradedPes). */
     std::vector<uint32_t> degradedPes_;
@@ -437,9 +420,8 @@ class Simulator
     const ArchParams &params() const { return params_; }
     int width() const { return width_; }
     int height() const { return height_; }
-    /** Worker threads; worker w runs shard w. */
-    int threads() const { return shardCount(); }
-    /** Column strips the grid is partitioned into (== threads()). */
+    /** Column strips the grid is partitioned into; worker w runs
+     *  strip w. */
     int shardCount() const { return static_cast<int>(shards_.size()); }
     /** The options this simulator was built with (threads clamped to
      *  [1, width]). */
@@ -459,9 +441,9 @@ class Simulator
      */
     PeName internName(const std::string &name);
 
-    /** Aggregate statistics, merged across shards on each call
-     *  (read-only: subsystems accumulate into their shard's stats). */
-    const SimStats &stats();
+    /** Aggregate statistics, summed across shards on each call
+     *  (subsystems accumulate into their shard's stats). */
+    SimStats stats() const;
 
     /** Total wavelet-hops carried by the fabric: the merged
      *  SimStats::waveletsSent (one wavelet per link crossed). */
@@ -474,33 +456,22 @@ class Simulator
     Cycles now() const;
 
     /**
-     * Schedule `fn` at absolute cycle `at` (>= now). Accepts any
-     * callable; inline-sized ones are stored without heap allocation.
-     * Host-side calls land on shard 0; calls from inside an event run
-     * on the scheduling event's shard (FIFO per creator at equal
-     * cycles).
+     * Schedule `fn` at absolute cycle `at` (>= now), without heap
+     * allocation (EventCallback stores it in place). Host-side calls
+     * land on shard 0; calls from inside an event run on the scheduling
+     * event's shard (FIFO per creator at equal cycles).
      */
     void schedule(Cycles at, EventCallback fn);
-
-    /**
-     * Run until the event queue drains. Returns the final cycle. Throws
-     * FatalError carrying the full SimDiagnosis dump when the event
-     * budget is exceeded; fault-induced deadlock and degradation do NOT
-     * throw — inspect report() (or use runWithReport()) for those.
-     */
-    Cycles run(uint64_t maxEvents = UINT64_MAX);
 
     /**
      * Run until the event queue drains and classify how it ended:
      * Completed, Degraded (faulted PEs left partial results, everyone
      * else finished), Deadlock (a non-halted PE can never progress), or
      * EventBudgetExceeded. Never throws on any of those outcomes — the
-     * returned report carries the diagnosis.
+     * returned report carries the diagnosis. An exception thrown by an
+     * event callback (a task panic, a fatal) propagates to the caller.
      */
-    const SimReport &runWithReport(uint64_t maxEvents = UINT64_MAX);
-
-    /** The report of the most recent run. */
-    const SimReport &report() const { return report_; }
+    SimReport runWithReport(uint64_t maxEvents = UINT64_MAX);
 
     /**
      * A quiescence probe reports obligations that survive an empty
@@ -517,9 +488,6 @@ class Simulator
     /** Record a PE that finished with degraded results. Must be called
      *  from an event owned by that PE (its shard's context). */
     void noteDegradedPe(uint32_t peId);
-
-    /** True when no events remain (queues and mailboxes). */
-    bool idle() const;
 
     /// @name Internal scheduling surface (Pe / Fabric)
     /// @{
@@ -575,7 +543,7 @@ class Simulator
     uint32_t numPes_;
     /** Conservative window length: the minimum cross-shard latency. */
     Cycles lookahead_;
-    /** Global clock outside of run() (max shard clock after a run). */
+    /** Global clock outside of a run (max shard clock after a run). */
     Cycles finalNow_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
     /** Strip (shard index) of each PE column. */
@@ -590,10 +558,6 @@ class Simulator
     std::unordered_set<std::string> namePool_;
     std::vector<std::unique_ptr<Pe>> pes_;
     std::unique_ptr<Fabric> fabric_;
-    /** Merged-stats cache refreshed by stats(). */
-    SimStats mergedStats_;
-    /** Report of the most recent run (rebuilt by runWithReport). */
-    SimReport report_;
     /** Registered quiescence probes (run at queue drain). */
     std::vector<QuiescenceProbe> probes_;
 };

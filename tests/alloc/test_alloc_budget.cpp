@@ -96,7 +96,7 @@ measure(int n)
 
     // The instance must still run: the budget is for a working set-up.
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(instance.unblockCount(), static_cast<uint64_t>(n) * n);
     return out;
 }

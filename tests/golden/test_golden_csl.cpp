@@ -114,7 +114,7 @@ class GoldenCslTest : public IrTest
         }
         instance.configure();
         instance.launch();
-        return sim.run(4000000000ULL);
+        return sim.runWithReport(4000000000ULL).finalCycle;
     }
 };
 
@@ -209,7 +209,7 @@ TEST_F(GoldenCslTest, HandwrittenSeismicPerSectionLock)
     hw.setInit(bench.init);
     hw.configure();
     hw.launch();
-    EXPECT_EQ(sim.run(4000000000ULL), 8024u);
+    EXPECT_EQ(sim.runWithReport(4000000000ULL).finalCycle, 8024u);
 
     const wse::SimStats &stats = sim.stats();
     EXPECT_EQ(stats.eventsProcessed, 3616u);

@@ -20,7 +20,7 @@ TEST(HandwrittenSeismic, MatchesTheReferenceExecutor)
     hw.setInit(bench.init);
     hw.configure();
     hw.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
 
     model::ReferenceExecutor ref(bench.program, bench.init);
     ref.run(STEPS);
@@ -63,7 +63,7 @@ TEST(HandwrittenSeismic, StepMarksAdvanceMonotonically)
     hw.setInit([](int, int, int, int) { return 1.0f; });
     hw.configure();
     hw.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
     const std::vector<wse::Cycles> &marks = hw.stepMarks(5, 5);
     ASSERT_GE(marks.size(), 5u);
     for (size_t i = 1; i < marks.size(); ++i)

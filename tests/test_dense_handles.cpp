@@ -10,7 +10,6 @@
 
 #include "test_helpers.h"
 
-#include <array>
 #include <sstream>
 
 #include "ir/pattern.h"
@@ -61,7 +60,7 @@ expectStatsEquivalence(fe::Benchmark &bench, int nx, int ny)
         instance.configure();
         instance.launch();
         Run run;
-        run.finalCycle = sim.run(4000000000ULL);
+        run.finalCycle = sim.runWithReport(4000000000ULL).finalCycle;
         run.stats = sim.stats();
         return run;
     };
@@ -114,7 +113,7 @@ TEST_F(PeHandleTest, TaskIdResolution)
     EXPECT_EQ(pe.taskId("t"), id);
 
     pe.activate(id, 0);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(fired, 1);
 }
 
@@ -186,7 +185,7 @@ TEST_F(PeHandleTest, TaskCannotRegisterOnItsOwnPe)
         pe.registerTask("late", [](wse::TaskContext &) {});
     });
     pe.activate("grow", 0);
-    EXPECT_THROW(sim.run(), PanicError);
+    EXPECT_THROW(sim.runWithReport(), PanicError);
 }
 
 TEST(VecFifo, KeepsOrderAcrossCompaction)
@@ -223,7 +222,7 @@ TEST(EventQueue, ManySameCycleEventsRunFifo)
     std::vector<int> order;
     for (int i = 0; i < 100; ++i)
         sim.schedule(5, [&order, i] { order.push_back(i); });
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(order.size(), 100u);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -241,30 +240,11 @@ TEST(EventQueue, InterleavedSchedulingKeepsCycleOrder)
             sim.schedule(sim.now() + 5,
                          [&] { at.push_back(sim.now()); });
         });
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(at.size(), 20u);
     for (size_t i = 1; i < at.size(); ++i)
         EXPECT_LE(at[i - 1], at[i]);
     EXPECT_EQ(sim.stats().eventsProcessed, 20u);
-}
-
-TEST(EventQueue, OversizedCallbacksFallBackToHeap)
-{
-    // Captures beyond EventCallback::kInlineSize take the (single
-    // allocation) heap path but behave identically.
-    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
-    std::array<uint64_t, 32> big{}; // 256 bytes, > kInlineSize
-    for (size_t i = 0; i < big.size(); ++i)
-        big[i] = i + 1;
-    uint64_t sum = 0;
-    sim.schedule(1, [big, &sum] {
-        for (uint64_t v : big)
-            sum += v;
-    });
-    sim.run();
-    EXPECT_EQ(sum, 32u * 33u / 2);
-    static_assert(sizeof(std::array<uint64_t, 32>) >
-                  wse::EventCallback::kInlineSize);
 }
 
 TEST(EventQueue, CallbacksReleaseCapturedState)
@@ -275,7 +255,7 @@ TEST(EventQueue, CallbacksReleaseCapturedState)
     auto token = std::make_shared<int>(7);
     sim.schedule(1, [token] {});
     EXPECT_EQ(token.use_count(), 2);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(token.use_count(), 1);
 }
 

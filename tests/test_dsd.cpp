@@ -32,7 +32,7 @@ class DsdTest : public ::testing::Test
                             consumed = ctx.consumed();
                         });
         pe.activate(name, 0);
-        sim.run();
+        sim.runWithReport();
         return consumed;
     }
 
@@ -181,7 +181,7 @@ runInTask(const std::function<void(wse::TaskContext &)> &fn)
     wse::Simulator sim(ArchParams::wse3(), 1, 1);
     sim.pe(0, 0).registerTask("t", fn);
     sim.pe(0, 0).activate("t", 0);
-    sim.run();
+    sim.runWithReport();
 }
 
 /** A builtin under test and its per-element reference semantics. */

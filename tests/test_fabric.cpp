@@ -39,7 +39,7 @@ TEST_F(FabricTest, SingleHopDeliveryCarriesPayload)
     std::vector<float> payload = {1.0f, 2.0f, 3.0f};
     sendHostStream(sim, 0, 0, Direction::East, {1}, payload, 0,
                    collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 1u);
     EXPECT_EQ(deliveries[0].x, 1);
     EXPECT_EQ(deliveries[0].y, 0);
@@ -53,7 +53,7 @@ TEST_F(FabricTest, MulticastDeliversAtEachListedDistance)
     Simulator sim(ArchParams::wse3(), 5, 1);
     sendHostStream(sim, 0, 0, Direction::East, {1, 2, 3},
                    {1.0f, 2.0f}, 0, collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 3u);
     EXPECT_EQ(deliveries[0].distance, 1);
     EXPECT_EQ(deliveries[2].distance, 3);
@@ -73,7 +73,7 @@ TEST_F(FabricTest, TagReachesEveryDeliveryOfItsStream)
                    collect(), eastTag);
     sendHostStream(sim, 4, 0, Direction::West, {1}, {2.0f}, 0, collect(),
                    /*tag=*/42);
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 3u);
     for (const Delivery &d : deliveries)
         EXPECT_EQ(d.tag, d.data[0] == 1.0f ? eastTag : 42u) << d.x;
@@ -84,7 +84,7 @@ TEST_F(FabricTest, SkippedDistancesForwardWithoutDelivering)
     Simulator sim(ArchParams::wse3(), 5, 1);
     sendHostStream(sim, 0, 0, Direction::East, {3}, {1.0f}, 0,
                    collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 1u);
     EXPECT_EQ(deliveries[0].x, 3);
 }
@@ -94,7 +94,7 @@ TEST_F(FabricTest, StreamsTruncateAtTheGridEdge)
     Simulator sim(ArchParams::wse3(), 2, 1);
     sendHostStream(sim, 0, 0, Direction::East, {1, 2, 3}, {1.0f}, 0,
                    collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 1u); // only distance 1 exists
 }
 
@@ -103,7 +103,7 @@ TEST_F(FabricTest, AllFourDirectionsWork)
     Simulator sim(ArchParams::wse3(), 3, 3);
     for (Direction d : wse::allDirections())
         sendHostStream(sim, 1, 1, d, {1}, {1.0f}, 0, collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 4u);
     std::set<std::pair<int, int>> targets;
     for (const Delivery &d : deliveries)
@@ -124,7 +124,7 @@ TEST_F(FabricTest, LinkContentionSerializesStreams)
                    collect());
     sendHostStream(sim, 0, 0, Direction::East, {1}, payload, 0,
                    collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 2u);
     Cycles first = std::min(deliveries[0].at, deliveries[1].at);
     Cycles second = std::max(deliveries[0].at, deliveries[1].at);
@@ -142,7 +142,7 @@ TEST_F(FabricTest, OppositeDirectionsDoNotContend)
                    collect());
     sendHostStream(sim, 1, 0, Direction::West, {1}, payload, 0,
                    collect());
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 2u);
     // Both land around the same time; sender ramp serializes injection,
     // so allow the injection gap but not a full extra stream.
@@ -162,13 +162,13 @@ TEST_F(FabricTest, SelfTransmitOccupiesSenderOnWse2)
     Simulator sim3(ArchParams::wse3(), 2, 1);
     sendHostStream(sim3, 0, 0, Direction::East, {1}, payload, 0,
                    collect());
-    sim3.run();
+    sim3.runWithReport();
     Cycles free3 = sim3.pe(0, 0).workFree();
 
     Simulator sim2(ArchParams::wse2(), 2, 1);
     sendHostStream(sim2, 0, 0, Direction::East, {1}, payload, 0,
                    collect());
-    sim2.run();
+    sim2.runWithReport();
     Cycles free2 = sim2.pe(0, 0).workFree();
 
     EXPECT_EQ(free3, m);
@@ -189,7 +189,7 @@ TEST_F(FabricTest, WaveletStatsCountHops)
     Simulator sim(ArchParams::wse3(), 4, 1);
     sendHostStream(sim, 0, 0, Direction::East, {1, 3},
                    {1.0f, 2.0f}, 0, collect());
-    sim.run();
+    sim.runWithReport();
     // 2 wavelets over 3 hops.
     EXPECT_EQ(sim.stats().waveletsSent, 6u);
     EXPECT_EQ(sim.fabricHops(), 6u);
@@ -202,7 +202,7 @@ TEST_F(FabricTest, PayloadIsSnapshottedPerDelivery)
     sendHostStream(sim, 0, 0, Direction::East, {1, 2}, payload, 0,
                    collect());
     payload[0] = -1.0f; // mutation after the call must not be visible
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(deliveries.size(), 2u);
     EXPECT_EQ(deliveries[0].data[0], 7.0f);
     EXPECT_EQ(deliveries[1].data[0], 7.0f);

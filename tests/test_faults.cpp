@@ -5,7 +5,7 @@
  *
  * The contract: a fault plan is part of the simulated world, so a
  * faulty threads=4 run must match the faulty threads=1 run bit-exactly
- * — same SimReport, same fault counters, same field bytes when the run
+ * — same SimReport (fault counters included), same field bytes when the run
  * completes. Injected deadlocks must end with a SimDiagnosis naming the
  * blocked PEs and pending tasks instead of hanging or dying on a
  * one-line fatal, and exchange timeouts must let the rest of the wafer
@@ -34,7 +34,6 @@ struct FaultRun
     wse::SimOutcome outcome = wse::SimOutcome::Completed;
     wse::Cycles finalCycle = 0;
     wse::SimStats stats;
-    wse::FaultStats faults;
     std::vector<uint32_t> haltedPes;
     std::vector<uint32_t> degradedPes;
     /** (x, y, what, since, peHalted) rows of the diagnosis. */
@@ -75,7 +74,6 @@ runFaulted(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
     r.outcome = rep.outcome;
     r.finalCycle = rep.finalCycle;
     r.stats = rep.stats;
-    r.faults = rep.faults;
     r.haltedPes = rep.haltedPes;
     r.degradedPes = rep.degradedPes;
     for (const wse::BlockedPeInfo &b : rep.diagnosis.blockedPes)
@@ -116,7 +114,6 @@ expectFaultEquivalence(fe::Benchmark bench, int nx, int ny,
             << wse::simOutcomeName(sharded.outcome);
         EXPECT_EQ(sequential.finalCycle, sharded.finalCycle);
         EXPECT_TRUE(sequential.stats == sharded.stats);
-        EXPECT_TRUE(sequential.faults == sharded.faults);
         EXPECT_EQ(sequential.haltedPes, sharded.haltedPes);
         EXPECT_EQ(sequential.degradedPes, sharded.degradedPes);
         EXPECT_EQ(sequential.blocked, sharded.blocked);
@@ -137,9 +134,8 @@ TEST(FaultDeterminism, PeHaltDiffusion)
     // their exchanges and every live PE returns control to the host.
     EXPECT_EQ(r.outcome, wse::SimOutcome::Degraded);
     EXPECT_EQ(r.haltedPes, (std::vector<uint32_t>{3 * 7 + 3}));
-    EXPECT_EQ(r.faults.pesHalted, 1u);
-    EXPECT_GT(r.faults.exchangeTimeouts, 0u);
-    EXPECT_GT(r.faults.exchangesDegraded, 0u);
+    EXPECT_GT(r.stats.exchangeTimeouts, 0u);
+    EXPECT_GT(r.stats.exchangesDegraded, 0u);
     EXPECT_EQ(r.unblocks, 48u); // all but the halted PE
 }
 
@@ -150,7 +146,7 @@ TEST(FaultDeterminism, PeHaltJacobian)
     FaultRun r = expectFaultEquivalence(fe::makeJacobian(7, 7, 4, 64), 7,
                                         7, plan, /*timeout=*/6000);
     EXPECT_EQ(r.outcome, wse::SimOutcome::Degraded);
-    EXPECT_EQ(r.faults.pesHalted, 1u);
+    EXPECT_EQ(r.haltedPes.size(), 1u);
     EXPECT_EQ(r.unblocks, 48u);
 }
 
@@ -162,7 +158,7 @@ TEST(FaultDeterminism, LinkDropDiffusion)
                                         7, plan, /*timeout=*/4000);
     EXPECT_EQ(r.outcome, wse::SimOutcome::Degraded);
     EXPECT_TRUE(r.haltedPes.empty());
-    EXPECT_GT(r.faults.streamsDroppedByLinks, 0u);
+    EXPECT_GT(r.stats.streamsDroppedByLinks, 0u);
     EXPECT_FALSE(r.degradedPes.empty());
     EXPECT_EQ(r.unblocks, 49u); // no PE died, all complete (degraded)
 }
@@ -174,7 +170,7 @@ TEST(FaultDeterminism, LinkDropJacobian)
     FaultRun r = expectFaultEquivalence(fe::makeJacobian(7, 7, 4, 64), 7,
                                         7, plan, /*timeout=*/6000);
     EXPECT_EQ(r.outcome, wse::SimOutcome::Degraded);
-    EXPECT_GT(r.faults.streamsDroppedByLinks, 0u);
+    EXPECT_GT(r.stats.streamsDroppedByLinks, 0u);
     EXPECT_EQ(r.unblocks, 49u);
 }
 
@@ -189,7 +185,7 @@ TEST(FaultDeterminism, PayloadCorruptionDiffusion)
     // Corruption garbles values without losing streams: the program
     // completes normally and the garbage propagates bit-identically.
     EXPECT_EQ(r.outcome, wse::SimOutcome::Completed);
-    EXPECT_EQ(r.faults.payloadsCorrupted, 2u);
+    EXPECT_EQ(r.stats.payloadsCorrupted, 2u);
     EXPECT_EQ(r.unblocks, 49u);
 }
 
@@ -201,7 +197,7 @@ TEST(FaultDeterminism, PayloadCorruptionJacobian)
     FaultRun r = expectFaultEquivalence(fe::makeJacobian(7, 7, 4, 64), 7,
                                         7, plan, /*timeout=*/0);
     EXPECT_EQ(r.outcome, wse::SimOutcome::Completed);
-    EXPECT_EQ(r.faults.payloadsCorrupted, 1u);
+    EXPECT_EQ(r.stats.payloadsCorrupted, 1u);
     EXPECT_EQ(r.unblocks, 49u);
 }
 
@@ -234,7 +230,11 @@ TEST(FaultReport, CleanRunReportsCompleted)
     EXPECT_EQ(r.outcome, wse::SimOutcome::Completed);
     EXPECT_TRUE(r.haltedPes.empty());
     EXPECT_TRUE(r.degradedPes.empty());
-    EXPECT_TRUE(r.faults == wse::FaultStats{});
+    EXPECT_EQ(r.stats.streamsDroppedByLinks, 0u);
+    EXPECT_EQ(r.stats.payloadsDropped, 0u);
+    EXPECT_EQ(r.stats.payloadsCorrupted, 0u);
+    EXPECT_EQ(r.stats.exchangeTimeouts, 0u);
+    EXPECT_EQ(r.stats.exchangesDegraded, 0u);
     EXPECT_EQ(r.unblocks, 25u);
 }
 
@@ -261,11 +261,11 @@ TEST(FaultReport, EmptyPlanMatchesDefaultRun)
                           });
     instance.configure();
     instance.launch();
-    wse::Cycles finalCycle = sim.run(4000000000ULL);
+    const wse::SimReport rep = sim.runWithReport(4000000000ULL);
 
-    EXPECT_EQ(withPlan.finalCycle, finalCycle);
-    EXPECT_TRUE(withPlan.stats == sim.stats());
-    EXPECT_EQ(sim.report().outcome, wse::SimOutcome::Completed);
+    EXPECT_EQ(withPlan.finalCycle, rep.finalCycle);
+    EXPECT_TRUE(withPlan.stats == rep.stats);
+    EXPECT_EQ(rep.outcome, wse::SimOutcome::Completed);
 }
 
 //===----------------------------------------------------------------------===
@@ -352,26 +352,10 @@ TEST(FaultDiagnosis, EventBudgetDumpsQueues)
         EXPECT_EQ(rep.diagnosis.eventBudget, 500u);
         EXPECT_FALSE(rep.diagnosis.queues.empty());
         EXPECT_FALSE(rep.ok());
-    }
-
-    // The legacy surface: run() turns the same diagnosis into a
-    // FatalError carrying the dump instead of the old one-liner.
-    wse::Simulator sim(wse::ArchParams::wse3(), 5, 5);
-    interp::CslProgramInstance instance(sim, module.get());
-    auto init = bench.init;
-    instance.setFieldInit(bench.program.fieldName(0),
-                          [init](int x, int y, int z) {
-                              return init(0, x, y, z);
-                          });
-    instance.configure();
-    instance.launch();
-    try {
-        sim.run(/*maxEvents=*/500);
-        FAIL() << "run() under budget must throw";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("event budget"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos);
+        // The dump names the budget and the queues it stopped on.
+        const std::string dump = rep.diagnosis.toString();
+        EXPECT_NE(dump.find("event budget"), std::string::npos) << dump;
+        EXPECT_NE(dump.find("queue"), std::string::npos) << dump;
     }
 }
 
@@ -410,8 +394,45 @@ TEST(FaultDegrade, TimeoutDegradesAndCompletes)
     ASSERT_FALSE(instance.commSites().empty());
     const comms::StarCommStats &cs = instance.commSites()[0]->stats();
     EXPECT_GT(cs.timeouts, 0u);
-    EXPECT_GE(rep.faults.exchangeTimeouts, cs.timeouts);
-    EXPECT_GT(rep.faults.exchangesDegraded, 0u);
+    EXPECT_GE(rep.stats.exchangeTimeouts, cs.timeouts);
+    EXPECT_GT(rep.stats.exchangesDegraded, 0u);
+}
+
+TEST(FaultDegrade, CommTimeoutsMatchSimStats)
+{
+    // StarCommStats::timeouts (per exchange site) and
+    // SimStats::exchangeTimeouts (per shard) count the same watchdog
+    // firings: summed over every site they agree, at any thread count.
+    fe::Benchmark bench = fe::makeDiffusion(7, 7, 4, 16);
+    ir::Context ctx;
+    dialects::registerAllDialects(ctx);
+    ir::OwningOp module = bench.program.emit(ctx);
+    transforms::runPipeline(module.get());
+
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        wse::SimOptions options;
+        options.threads = threads;
+        options.faults.haltPe(3, 3, 0);
+        options.exchangeTimeoutCycles = 3000;
+        wse::Simulator sim(wse::ArchParams::wse3(), 7, 7, options);
+        interp::CslProgramInstance instance(sim, module.get());
+        auto init = bench.init;
+        instance.setFieldInit(bench.program.fieldName(0),
+                              [init](int x, int y, int z) {
+                                  return init(0, x, y, z);
+                              });
+        instance.configure();
+        instance.launch();
+
+        const wse::SimReport rep = sim.runWithReport(4000000000ULL);
+        EXPECT_EQ(rep.outcome, wse::SimOutcome::Degraded);
+        uint64_t siteTimeouts = 0;
+        for (const auto &site : instance.commSites())
+            siteTimeouts += site->stats().timeouts;
+        EXPECT_GT(siteTimeouts, 0u);
+        EXPECT_EQ(siteTimeouts, rep.stats.exchangeTimeouts);
+    }
 }
 
 TEST(FaultDegrade, PerSectionDropLinkZeroFillsMissingSection)
@@ -463,8 +484,8 @@ TEST(FaultDegrade, PerSectionDropLinkZeroFillsMissingSection)
 
     const wse::SimReport &rep = sim.runWithReport(4000000000ULL);
     EXPECT_EQ(rep.outcome, wse::SimOutcome::Degraded);
-    EXPECT_EQ(rep.faults.exchangesDegraded, 1u);
-    EXPECT_EQ(rep.faults.streamsDroppedByLinks, 1u);
+    EXPECT_EQ(rep.stats.exchangesDegraded, 1u);
+    EXPECT_EQ(rep.stats.streamsDroppedByLinks, 1u);
     EXPECT_EQ(rep.degradedPes, (std::vector<uint32_t>{sim.peIndex(1, 1)}));
 
     // Three sections landed, the fourth was force-announced: four
@@ -507,7 +528,7 @@ TEST(FaultRobustness, WorkerExceptionUnderThreads4)
             });
     for (int x = 0; x < 8; ++x)
         sim.pe(x, 0).activate("tick", 0);
-    EXPECT_THROW(sim.run(1000000), FatalError);
+    EXPECT_THROW(sim.runWithReport(1000000), FatalError);
 }
 
 //===----------------------------------------------------------------------===
@@ -525,9 +546,9 @@ TEST(FaultUnit, DeadLinkDropsAtInjection)
     };
     sendHostStream(sim, 0, 0, wse::Direction::East, {1, 2},
                    std::vector<float>(8, 1.0f), 0, deliver);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(deliveries, 0);
-    EXPECT_EQ(sim.report().faults.streamsDroppedByLinks, 1u);
+    EXPECT_EQ(sim.stats().streamsDroppedByLinks, 1u);
 }
 
 TEST(FaultUnit, DeadLinkDropsMidPathAfterEarlierDeliveries)
@@ -541,10 +562,10 @@ TEST(FaultUnit, DeadLinkDropsMidPathAfterEarlierDeliveries)
     };
     sendHostStream(sim, 0, 0, wse::Direction::East, {1, 3},
                    std::vector<float>(8, 1.0f), 0, deliver);
-    sim.run();
+    sim.runWithReport();
     // Hop 1 lands before the dead link; hop 3 is lost behind it.
     EXPECT_EQ(landedAt, (std::vector<int>{1}));
-    EXPECT_EQ(sim.report().faults.streamsDroppedByLinks, 1u);
+    EXPECT_EQ(sim.stats().streamsDroppedByLinks, 1u);
 }
 
 TEST(FaultUnit, DegradedLinkDelaysDelivery)
@@ -561,7 +582,7 @@ TEST(FaultUnit, DegradedLinkDelaysDelivery)
         };
         sendHostStream(sim, 0, 0, wse::Direction::East, {1},
                        std::vector<float>(8, 1.0f), 0, deliver);
-        sim.run();
+        sim.runWithReport();
     }
     EXPECT_EQ(completeAt[1], completeAt[0] + 50);
 }
@@ -589,7 +610,7 @@ TEST(FaultUnit, PayloadCorruptionCopiesSharedChunk)
     sim.fabric().sendStream(1, 0, wse::Direction::West, 1u << 1, chunk, 0,
                             deliver, /*tag=*/0);
     chunk.reset();
-    sim.run();
+    sim.runWithReport();
 
     ASSERT_EQ(dataOf.size(), 2u);
     // West (PE 0): pristine. East (PE 2): exactly one garbled element.
@@ -603,7 +624,7 @@ TEST(FaultUnit, PayloadCorruptionCopiesSharedChunk)
             EXPECT_TRUE(std::isfinite(v)); // never NaN/inf garbage
         }
     EXPECT_EQ(changed, 1);
-    EXPECT_EQ(sim.report().faults.payloadsCorrupted, 1u);
+    EXPECT_EQ(sim.stats().payloadsCorrupted, 1u);
 }
 
 TEST(FaultUnit, PayloadDropLosesOneStreamOnly)
@@ -620,10 +641,10 @@ TEST(FaultUnit, PayloadDropLosesOneStreamOnly)
                    deliver);
     sendHostStream(sim, 0, 0, wse::Direction::East, {1}, payload, 0,
                    deliver);
-    sim.run();
+    sim.runWithReport();
     // Stream 0 vanishes after the first hop; stream 1 is untouched.
     EXPECT_EQ(deliveries, 1);
-    EXPECT_EQ(sim.report().faults.payloadsDropped, 1u);
+    EXPECT_EQ(sim.stats().payloadsDropped, 1u);
 }
 
 TEST(FaultUnit, StutterSlowsWork)
@@ -641,7 +662,7 @@ TEST(FaultUnit, StutterSlowsWork)
                                       ctx.consume(100);
                                   });
         sim.pe(0, 0).activate("work", 0);
-        sim.run();
+        sim.runWithReport();
         workFree[i] = sim.pe(0, 0).workFree();
     }
     EXPECT_GE(workFree[1], 4 * workFree[0]);

@@ -106,7 +106,7 @@ endToEndError(fe::Benchmark &bench, const wse::ArchParams &arch, int nx,
     }
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
     EXPECT_EQ(instance.unblockCount(),
               static_cast<uint64_t>(nx) * static_cast<uint64_t>(ny));
 

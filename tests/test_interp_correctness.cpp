@@ -96,7 +96,7 @@ TEST(EndToEndExtras, MultiChunkExecutionIsCorrect)
     });
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
 
     model::ReferenceExecutor ref(bench.program, bench.init);
     ref.run(5);
@@ -141,7 +141,7 @@ TEST(EndToEndExtras, DisabledOptimizationsStayCorrect)
     }
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
 
     model::ReferenceExecutor ref(bench.program, bench.init);
     ref.run(4);

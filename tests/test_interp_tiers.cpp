@@ -60,7 +60,7 @@ runTier(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
     instance.launch();
 
     TierRun run;
-    run.finalCycle = sim.run(4000000000ULL);
+    run.finalCycle = sim.runWithReport(4000000000ULL).finalCycle;
     run.unblocks = instance.unblockCount();
     for (size_t f = 0; f < bench.program.numFields(); ++f)
         for (int x = 0; x < nx; ++x)

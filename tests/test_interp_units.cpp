@@ -57,7 +57,7 @@ TEST_F(InterpUnit, DsdBuiltinsComputeOnBuffers)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(sim.pe(0, 0).buffer("x"),
               std::vector<float>(8, 1.5f));
 }
@@ -98,7 +98,7 @@ TEST_F(InterpUnit, ScalarVariablesAndControlFlow)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(sim.pe(0, 0).scalar("counter"), 5.0);
     // f_main + 6 count_up dispatches.
     EXPECT_EQ(sim.pe(0, 0).taskActivations(), 7u);
@@ -136,7 +136,7 @@ TEST_F(InterpUnit, PointerVariablesRotateBuffers)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(sim.pe(0, 0).buffer("a"), std::vector<float>(4, 1.0f));
     EXPECT_EQ(sim.pe(0, 0).buffer("b"), std::vector<float>(4, 2.0f));
 }
@@ -167,7 +167,7 @@ TEST_F(InterpUnit, CallsExecuteSynchronously)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     // Two helper calls ran before the final increment: 10+10+1.
     EXPECT_EQ(sim.pe(0, 0).scalar("order"), 21.0);
 }
@@ -189,7 +189,7 @@ TEST_F(InterpUnit, IncrementDsdOffsetShiftsTheView)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     const std::vector<float> &x = sim.pe(0, 0).buffer("x");
     EXPECT_EQ(x[3], 0.0f);
     EXPECT_EQ(x[4], 9.0f);
@@ -207,7 +207,7 @@ TEST_F(InterpUnit, UnknownOpIsRejected)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    EXPECT_THROW(sim.run(), PanicError);
+    EXPECT_THROW(sim.runWithReport(), PanicError);
 }
 
 TEST_F(InterpUnit, OffsetTaskOutsideCommsPanicsOnlyWhenActivated)
@@ -250,7 +250,7 @@ TEST_F(InterpUnit, OffsetTaskOutsideCommsPanicsOnlyWhenActivated)
             instance.setReferenceMode(reference);
             EXPECT_NO_THROW(instance.configure());
             instance.launch();
-            EXPECT_NO_THROW(sim.run());
+            EXPECT_NO_THROW(sim.runWithReport());
             EXPECT_EQ(instance.unblockCount(), 2u);
         }
         wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
@@ -260,7 +260,7 @@ TEST_F(InterpUnit, OffsetTaskOutsideCommsPanicsOnlyWhenActivated)
         sim.pe(1, 0).scalar("fire") = 1.0;
         instance.launch();
         try {
-            sim.run();
+            sim.runWithReport();
             ADD_FAILURE() << "activating orphan_cb did not panic";
         } catch (const PanicError &e) {
             EXPECT_NE(std::string(e.what()).find(
@@ -281,7 +281,7 @@ TEST_F(InterpUnit, UnblockCountsHostReturns)
     interp::CslProgramInstance instance(sim, module.get());
     instance.configure();
     instance.launch();
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(instance.unblockCount(), 1u);
 }
 

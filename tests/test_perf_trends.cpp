@@ -20,7 +20,7 @@ handwrittenCyclesPerStep(int grid, int64_t nz, int64_t steps)
     });
     hw.configure();
     hw.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
     const std::vector<wse::Cycles> &marks =
         hw.stepMarks(grid / 2, grid / 2);
     size_t w = 3;
@@ -75,8 +75,8 @@ TEST_F(PerfTrend, GeneratedSeismicBeatsHandwrittenOnWse2)
     double hw = handwrittenCyclesPerStep(11, NZ, 12);
     EXPECT_LT(ours.cyclesPerStep, hw);
     // The simulator's queueing model amplifies the hand-written
-    // kernel's chunk-synchronization stalls beyond the paper's 7.9%
-    // (EXPERIMENTS.md); bound the advantage to the same order.
+    // kernel's chunk-synchronization stalls beyond the paper's 7.9%,
+    // so the bound only keeps the advantage to the same order.
     EXPECT_GT(ours.cyclesPerStep, 0.5 * hw);
 }
 
@@ -96,7 +96,7 @@ TEST_F(PerfTrend, GeneratedUsesFewerTaskActivations)
     hw.setInit([](int, int, int, int) { return 1.0f; });
     hw.configure();
     hw.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
     double hwActivations =
         static_cast<double>(sim.pe(5, 5).taskActivations()) / 12.0;
 

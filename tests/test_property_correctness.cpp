@@ -87,7 +87,7 @@ TEST_P(StencilProperty, CompiledMatchesReference)
     });
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
 
     model::ReferenceExecutor ref(bench.program, bench.init);
     ref.run(pc.steps);

@@ -73,7 +73,7 @@ runWorkload(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
     instance.launch();
 
     RunResult r;
-    r.finalCycle = sim.run(4000000000ULL);
+    r.finalCycle = sim.runWithReport(4000000000ULL).finalCycle;
     r.stats = sim.stats();
     r.fabricHops = sim.fabricHops();
     r.unblocks = instance.unblockCount();
@@ -198,7 +198,6 @@ TEST(ShardedDeterminism, StripsFollowThreads)
         wse::Simulator sim(wse::ArchParams::wse3(), c.width, c.height,
                            wse::SimOptions{c.threads});
         ASSERT_EQ(sim.shardCount(), c.strips);
-        EXPECT_EQ(sim.threads(), c.strips);
         EXPECT_EQ(sim.options().threads, c.strips);
 
         // PE (x, y) lands in strip x * shards / width, and each strip is
@@ -362,7 +361,7 @@ runBoundaryStreams(int threads)
                    *deliver);
     sendHostStream(sim, 1, 0, wse::Direction::East, {2, 4}, third, 10,
                    *deliver);
-    sim.run();
+    sim.runWithReport();
     std::vector<Recorded> flat;
     for (const auto &pe : perPe)
         flat.insert(flat.end(), pe.begin(), pe.end());
@@ -407,7 +406,7 @@ TEST(ShardedDeterminism, HostSendsConvergingAcrossShardsTieBreak)
                        fromEast, 0, record);
         sendHostStream(sim, 0, 0, wse::Direction::East, {1},
                        fromWest, 0, record);
-        trace[i].back().second = sim.run();
+        trace[i].back().second = sim.runWithReport().finalCycle;
     }
     ASSERT_EQ(trace[0].size(), 2u);
     EXPECT_EQ(trace[0], trace[1]);
@@ -430,7 +429,7 @@ TEST(ShardedDeterminism, ContendedLinkSerializesAcrossShards)
                        0, deliver);
         sendHostStream(sim, 0, 0, wse::Direction::East, {2}, payload,
                        0, deliver);
-        sim.run();
+        sim.runWithReport();
         ASSERT_EQ(landed.size(), 2u);
         EXPECT_GE(std::max(landed[0], landed[1]),
                   std::min(landed[0], landed[1]) + m);
@@ -466,7 +465,7 @@ TEST(ShardedDeterminism, FrameArenaRecyclesAcrossNestedActivations)
                               });
         instance.configure();
         instance.launch();
-        sim.run(4000000000ULL);
+        sim.runWithReport(4000000000ULL);
 
         auto [acquires, fresh] = instance.frameStats();
         EXPECT_GT(acquires, sim.stats().taskActivations);
@@ -501,7 +500,7 @@ TEST(ShardedDeterminism, PayloadRingRecyclesSlots)
                           });
     instance.configure();
     instance.launch();
-    sim.run(4000000000ULL);
+    sim.runWithReport(4000000000ULL);
 
     wse::PayloadPool &pool = sim.pe(0, 0).payloadPool();
     EXPECT_GT(pool.acquires(), 0u);
@@ -546,7 +545,7 @@ TEST(ShardedDeterminism, SameCycleEventsOrderByOwnerPe)
                               });
     sim.pe(1, 0).activate("t", 100); // activated first, runs second
     sim.pe(0, 0).activate("t", 100);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 

@@ -43,7 +43,7 @@ TEST(SimulatorTest, EventsRunInTimeOrder)
     sim.schedule(30, [&] { order.push_back(3); });
     sim.schedule(10, [&] { order.push_back(1); });
     sim.schedule(20, [&] { order.push_back(2); });
-    Cycles end = sim.run();
+    Cycles end = sim.runWithReport().finalCycle;
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(end, 30u);
 }
@@ -54,7 +54,7 @@ TEST(SimulatorTest, TiesRunInScheduleOrder)
     std::vector<int> order;
     sim.schedule(5, [&] { order.push_back(1); });
     sim.schedule(5, [&] { order.push_back(2); });
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -84,7 +84,7 @@ TEST(SimulatorTest, QueueRunsInCycleThenCreationOrder)
             leaf(at + k);
         });
     }
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(ran.size(), 30000u);
     EXPECT_EQ(std::adjacent_find(ran.begin(), ran.end(),
                                  [](const auto &x, const auto &y) {
@@ -99,7 +99,7 @@ TEST(SimulatorTest, SchedulingIntoThePastPanics)
     sim.schedule(10, [&] {
         EXPECT_THROW(sim.schedule(5, [] {}), PanicError);
     });
-    sim.run();
+    sim.runWithReport();
 }
 
 TEST(SimulatorTest, EventBudgetCatchesLivelock)
@@ -109,7 +109,9 @@ TEST(SimulatorTest, EventBudgetCatchesLivelock)
         sim.schedule(sim.now() + 1, respawn);
     };
     sim.schedule(0, respawn);
-    EXPECT_THROW(sim.run(/*maxEvents=*/100), FatalError);
+    const wse::SimReport rep = sim.runWithReport(/*maxEvents=*/100);
+    EXPECT_EQ(rep.outcome, wse::SimOutcome::EventBudgetExceeded);
+    EXPECT_EQ(rep.diagnosis.eventsProcessed, 100u);
 }
 
 TEST(SimulatorTest, GridMustFitTheFabric)
@@ -156,7 +158,7 @@ TEST(PeTest, TasksDispatchWithActivationOverhead)
                         ctx.consume(100);
                     });
     pe.activate("t", 50);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(started, 50 + params.taskActivateCycles);
     EXPECT_EQ(pe.workFree(), started + 100);
     EXPECT_EQ(pe.taskActivations(), 1u);
@@ -176,7 +178,7 @@ TEST(PeTest, TasksSerializeOnTheWorkTimeline)
     pe.registerTask("b", fn);
     pe.activate("a", 0);
     pe.activate("b", 0);
-    sim.run();
+    sim.runWithReport();
     ASSERT_EQ(starts.size(), 2u);
     // The second task waits for the first's work plus its own dispatch.
     EXPECT_GE(starts[1], starts[0] + 100);
@@ -193,7 +195,7 @@ TEST(PeTest, FifoOrderIsPreserved)
                     [&](wse::TaskContext &) { order.push_back("y"); });
     pe.activate("x", 100);
     pe.activate("y", 100);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(order, (std::vector<std::string>{"x", "y"}));
 }
 
@@ -215,7 +217,7 @@ TEST(PeTest, DsdOpChargesSetupAndPerElementCycles)
                         consumed = ctx.consumed();
                     });
     pe.activate("t", 0);
-    sim.run();
+    sim.runWithReport();
     EXPECT_EQ(consumed, params.dsdSetupCycles + 450);
     EXPECT_EQ(sim.stats().flops, 900u);
     EXPECT_EQ(sim.stats().memBytes, 450u * 12);

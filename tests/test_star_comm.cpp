@@ -76,7 +76,7 @@ class StarCommTest : public ::testing::Test
         for (int x = 0; x < sim->width(); ++x)
             for (int y = 0; y < sim->height(); ++y)
                 sim->pe(x, y).activate("driver", 0);
-        sim->run();
+        sim->runWithReport();
     }
 
     std::unique_ptr<wse::Simulator> sim;
@@ -244,11 +244,11 @@ TEST_F(StarCommTest, BackToBackExchangesKeepEpochsSeparate)
             sim->pe(x, y).activate("driver", 0);
     // Chain: when the first done fires, start the second exchange.
     // Re-register done by driving again after the first run completes.
-    sim->run();
+    sim->runWithReport();
     for (int x = 0; x < 3; ++x)
         for (int y = 0; y < 3; ++y)
             sim->pe(x, y).activate("driver2", sim->now());
-    sim->run();
+    sim->runWithReport();
     EXPECT_EQ((doneCount[{1, 1}]), 1 + 10);
     EXPECT_EQ((recvCount[{1, 1}]), 2);
 }
@@ -263,7 +263,7 @@ TEST_F(StarCommTest, OverlappingExchangeOnSameSiteIsRejected)
                         comm->exchange(ctx, "send", "recv", "done");
                     });
     pe.activate("bad", 0);
-    EXPECT_THROW(sim->run(), PanicError);
+    EXPECT_THROW(sim->runWithReport(), PanicError);
 }
 
 TEST_F(StarCommTest, AccessesMustBeCanonical)
