@@ -342,12 +342,23 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
 StarComm::EpochState &
 StarComm::epochState(PeState &st, int64_t epoch)
 {
-    EpochState &es = st.epochs[epoch];
-    if (es.arrivals.empty()) {
-        es.arrivals.assign(numUnits(), 0);
-        es.announced.assign(numUnits(), 0);
-        es.stash.resize(config_.numChunks * numSections());
+    auto it = st.epochs.find(epoch);
+    if (it != st.epochs.end())
+        return it->second;
+    if (st.spare.empty()) {
+        it = st.epochs.try_emplace(epoch).first;
+    } else {
+        st.spare.key() = epoch;
+        it = st.epochs.insert(std::move(st.spare)).position;
     }
+    // Reset in place: a re-keyed node keeps its capacity, and its stash
+    // was released when it was pruned.
+    EpochState &es = it->second;
+    es.arrivals.assign(numUnits(), 0);
+    es.announced.assign(numUnits(), 0);
+    es.stash.resize(config_.numChunks * numSections());
+    es.senderInjectDone = 0;
+    es.degraded = false;
     return es;
 }
 
@@ -440,11 +451,14 @@ StarComm::degradeExchange(wse::Pe &pe, PeState &st, EpochState &es,
 void
 StarComm::pruneEpochs(PeState &st, int64_t currentEpoch)
 {
-    for (auto it = st.epochs.begin(); it != st.epochs.end();) {
-        if (it->first + 2 < currentEpoch)
-            it = st.epochs.erase(it);
-        else
-            ++it;
+    while (!st.epochs.empty() &&
+           st.epochs.begin()->first + 2 < currentEpoch) {
+        auto node = st.epochs.extract(st.epochs.begin());
+        // Release the pinned payloads, as erasing the node would.
+        for (wse::PayloadRef &pinned : node.mapped().stash)
+            pinned.reset();
+        if (st.spare.empty())
+            st.spare = std::move(node);
     }
 }
 

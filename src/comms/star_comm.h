@@ -201,6 +201,9 @@ class StarComm
         /** This PE's receive buffer (resolved once at setup()). */
         wse::BufferId recvBuf;
         std::map<int64_t, EpochState> epochs;
+        /** One pruned epoch node, re-keyed by the next new epoch so a
+         *  steady exchange sequence allocates no epoch state. */
+        std::map<int64_t, EpochState>::node_type spare;
         /** (epoch, unit) queue of announced, not yet popped units. */
         VecFifo<std::pair<int64_t, int64_t>> pending;
         /** Shard-safe statistics: counters live with the PE that
@@ -225,7 +228,8 @@ class StarComm
     int64_t sectionsPerUnit() const;
     /** Announcement units per exchange on a receiving PE. */
     int64_t numUnits() const;
-    /** The epoch's bookkeeping, created on first use by either side. */
+    /** The epoch's bookkeeping, created (or re-keyed from the spare
+     *  node) on first use by either side. */
     EpochState &epochState(PeState &st, int64_t epoch);
     /** A stream landed section `accessIdx` of the chunk and epoch
      *  packed in delivery.tag (streamTag). */

@@ -77,11 +77,10 @@ class CslProgramInstance::Compiler
     explicit Compiler(CslProgramInstance &self) : self_(self) {}
 
     void
-    compileCallable(const std::string &name, ir::Operation *callable)
+    compileCallable(int idx, ir::Operation *callable)
     {
         slotIndex_.clear();
         nextSlot_ = 0;
-        int idx = self_.bodyOf_.at(name);
         ir::Block *body = csl::calleeBody(callable);
         for (unsigned i = 0; i < body->numArguments(); ++i)
             self_.bodies_[idx].argSlots.push_back(
@@ -275,14 +274,17 @@ class CslProgramInstance::Compiler
         }
         if (n == csl::kActivate) {
             ins.op = Opcode::Activate;
-            ins.task = self_.taskIdx(op->strAttr(ir::attrs::kTask));
+            ins.body0 = self_.callableIdx(op->strAttr(ir::attrs::kTask));
             code.push_back(ins);
             return;
         }
         if (n == csl::kCommsExchange) {
+            csl::CommsExchangeSpec spec = csl::commsExchangeSpec(op);
             ins.op = Opcode::CommsExchange;
             ins.a = slotOf(op->operand(0).impl());
             ins.site = static_cast<uint32_t>(self_.commSiteOf_.at(op));
+            ins.body0 = self_.callableIdx(spec.recvCallback);
+            ins.body1 = self_.callableIdx(spec.doneCallback);
             code.push_back(ins);
             return;
         }
@@ -324,34 +326,34 @@ int32_t
 CslProgramInstance::varIdx(const std::string &name)
 {
     auto [it, inserted] = varIndex_.try_emplace(
-        name, static_cast<int32_t>(varNames_.size()));
-    if (inserted)
-        varNames_.push_back(name);
+        name, static_cast<int32_t>(varPlan_.size()));
+    if (inserted) {
+        VarPlan v; // Kind::Scalar, initial value 0.
+        v.peName = sim_.internName(name);
+        varPlan_.push_back(std::move(v));
+    }
     return it->second;
 }
 
 int32_t
-CslProgramInstance::taskIdx(const std::string &name)
+CslProgramInstance::callableIdx(const std::string &name) const
 {
-    auto [it, inserted] = taskIndex_.try_emplace(
-        name, static_cast<int32_t>(taskNames_.size()));
-    if (inserted)
-        taskNames_.push_back(name);
+    auto it = bodyOf_.find(name);
+    WSC_ASSERT(it != bodyOf_.end(),
+               "`" << name << "` is not a csl.func or csl.task");
     return it->second;
 }
 
 void
 CslProgramInstance::compileProgram()
 {
-    // Two passes so csl.call sites can resolve forward references.
-    // Callable i compiles to body i (nested scf.if bodies follow).
-    for (const CallablePlan &c : callablePlan_) {
-        bodyOf_[c.peName.str()] = static_cast<int>(bodies_.size());
-        bodies_.emplace_back();
-    }
+    // Callable i compiles to body i (nested scf.if bodies follow); every
+    // callable's body exists before the first compiles, so csl.call
+    // sites resolve forward references.
+    bodies_.resize(callablePlan_.size());
     Compiler compiler(*this);
-    for (const CallablePlan &c : callablePlan_)
-        compiler.compileCallable(c.peName.str(), c.op);
+    for (size_t i = 0; i < callablePlan_.size(); ++i)
+        compiler.compileCallable(static_cast<int>(i), callablePlan_[i].op);
     sealBodies();
 }
 
@@ -444,27 +446,14 @@ CslProgramInstance::planProgram(
                 v.scalarInit = static_cast<double>(ir::intAttrValue(a));
         }
         v.roleInterior = var->hasAttr(ir::attrs::kComptimeRole);
-        if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite))
-            v.roleSite = static_cast<int>(
-                commOfRecvCb_.at(ir::stringAttrValue(site)));
-        varPlan_.push_back(std::move(v));
-    }
-
-    for (const auto &[name, op] : callables_) {
-        CallablePlan c;
-        c.peName = sim_.internName(name);
-        c.op = op;
-        c.marksStep = name == "for_cond0";
-        c.wantsOffset = csl::calleeBody(op)->numArguments() == 1;
-        if (c.wantsOffset) {
-            // Lazily diagnosed: a 1-argument task that is not a
-            // registered receive callback only errors if it is actually
-            // activated (runTask).
-            auto it = commOfRecvCb_.find(name);
-            if (it != commOfRecvCb_.end())
-                c.recvSite = static_cast<int>(it->second);
+        if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite)) {
+            const std::string &cb = ir::stringAttrValue(site);
+            v.roleSite = callablePlan_[callableIdx(cb)].recvSite;
+            WSC_ASSERT(v.roleSite >= 0,
+                       "`" << cb << "` is not a comms receive callback");
         }
-        callablePlan_.push_back(std::move(c));
+        varIndex_.emplace(name, static_cast<int32_t>(varPlan_.size()));
+        varPlan_.push_back(std::move(v));
     }
 
     // Result mapping for readFieldColumn.
@@ -475,6 +464,8 @@ CslProgramInstance::planProgram(
             rf.var = ir::stringAttrValue(ir::dictAttrGet(entry, "var"));
             rf.viaPtr =
                 ir::intAttrValue(ir::dictAttrGet(entry, "via_ptr")) != 0;
+            auto it = varIndex_.find(rf.var);
+            rf.varIdx = it == varIndex_.end() ? -1 : it->second;
             resultFields_.push_back(std::move(rf));
         }
     }
@@ -509,10 +500,11 @@ CslProgramInstance::configure()
 
     // --- Collect module structure ---------------------------------------
     std::map<std::string, ir::Operation *> variables;
+    std::map<std::string, ir::Operation *> callables;
     std::vector<ir::Operation *> commsOps;
     for (ir::Operation *op : csl::moduleBody(program_)->operations()) {
         if (op->is(csl::kFunc) || op->is(csl::kTask))
-            callables_[op->strAttr(ir::attrs::kSymName)] = op;
+            callables[op->strAttr(ir::attrs::kSymName)] = op;
         else if (op->is(csl::kVariable))
             variables[op->strAttr(ir::attrs::kSymName)] = op;
     }
@@ -520,6 +512,19 @@ CslProgramInstance::configure()
         if (op->is(csl::kCommsExchange))
             commsOps.push_back(op);
     });
+
+    // --- The per-program plan (no IR is read past it) ----------------------
+    // Callables first: the comms sites resolve their callbacks, and the
+    // variables their comptime role sites, through bodyOf_.
+    for (const auto &[name, op] : callables) {
+        CallablePlan c;
+        c.peName = sim_.internName(name);
+        c.op = op;
+        c.marksStep = name == "for_cond0";
+        c.wantsOffset = csl::calleeBody(op)->numArguments() == 1;
+        bodyOf_[name] = static_cast<int>(callablePlan_.size());
+        callablePlan_.push_back(c);
+    }
 
     // --- Runtime communication sites ------------------------------------
     for (size_t i = 0; i < commsOps.size(); ++i) {
@@ -539,28 +544,17 @@ CslProgramInstance::configure()
         comms_.push_back(
             std::make_unique<comms::StarComm>(sim_, config));
         commSiteOf_[commsOps[i]] = i;
-        commOfRecvCb_[spec.recvCallback] = i;
-        siteCbNames_.emplace_back(spec.recvCallback, spec.doneCallback);
+        // Both callbacks must be callables, in either mode. A 1-argument
+        // task that is no site's receive callback keeps recvSite -1 and
+        // panics only if it is activated (runTask).
+        callablePlan_[callableIdx(spec.recvCallback)].recvSite =
+            static_cast<int>(i);
+        callableIdx(spec.doneCallback);
     }
 
-    // --- The per-program plan (the IR is not read past this point) -------
     planProgram(variables);
-    if (!referenceMode_) {
+    if (!referenceMode_)
         compileProgram();
-        // Intern every module variable so the var table covers names
-        // the host touches (readFieldColumn) even when the code never
-        // mentions them.
-        for (const VarPlan &v : varPlan_)
-            varIdx(v.peName.str());
-        for (ResultField &rf : resultFields_) {
-            auto it = varIndex_.find(rf.var);
-            rf.varIdx = it == varIndex_.end() ? -1 : it->second;
-        }
-    }
-
-    const size_t numPes = static_cast<size_t>(sim_.width()) * sim_.height();
-    if (referenceMode_)
-        peEnvs_.resize(numPes);
 
     // --- Per-PE variables --------------------------------------------------
     for (int x = 0; x < sim_.width(); ++x) {
@@ -568,8 +562,7 @@ CslProgramInstance::configure()
             wse::Pe &pe = sim_.pe(x, y);
             bool boundaryPe = !interiorEverywhere(x, y);
             for (VarPlan &v : varPlan_) {
-                switch (v.kind) {
-                case VarPlan::Kind::Buffer: {
+                if (v.kind == VarPlan::Kind::Buffer) {
                     wse::BufferId id = pe.allocBufferId(v.peName, v.elems);
                     agree(v.buffer, id, v.peName, pe);
                     const FieldInitFn *init =
@@ -579,20 +572,10 @@ CslProgramInstance::configure()
                         for (size_t z = 0; z < buf.size(); ++z)
                             buf[z] = (*init)(x, y, static_cast<int>(z));
                     }
-                    break;
-                }
-                case VarPlan::Kind::Ptr:
-                    if (referenceMode_)
-                        peEnvs_[pe.id()].ptrs[v.peName.str()] = v.ptrInit;
-                    break;
-                case VarPlan::Kind::Scalar: {
+                } else if (v.kind == VarPlan::Kind::Scalar) {
                     wse::ScalarId id = pe.scalarId(v.peName);
                     agree(v.scalar, id, v.peName, pe);
                     pe.scalar(id) = v.scalarInit;
-                    break;
-                }
-                case VarPlan::Kind::CommsOwned:
-                    break;
                 }
             }
         }
@@ -603,30 +586,28 @@ CslProgramInstance::configure()
     for (auto &comm : comms_)
         comm->setup();
 
-    // The var table's handles are resolved once, after StarComm::setup so
-    // library-owned receive buffers resolve. Every PE then re-interns the
-    // table's scalars (checking the handles agree), sets the comptime
-    // role flags (which depend on the comm sites' view of the grid),
-    // registers every callable as a task with a closure of `this` and
-    // the callable index, and fills its row of variable slots.
-    if (!referenceMode_) {
+    // The comms-owned buffer and pointer-target handles are resolved
+    // once, on the first PE, after StarComm::setup. Every PE then sets
+    // the comptime role flags (which depend on the comm sites' view of
+    // the grid), registers every callable as a task with a closure of
+    // `this` and the callable index, and fills its pointer targets
+    // (reference mode) or its row of variable slots.
+    const size_t numPes = static_cast<size_t>(sim_.width()) * sim_.height();
+    if (referenceMode_) {
+        peEnvs_.resize(numPes);
+    } else {
         resolveVarTable(sim_.pe(0, 0));
-        varSlots_.resize(numPes * varNames_.size());
+        varSlots_.resize(numPes * varPlan_.size());
         frames_.resize(static_cast<size_t>(sim_.shardCount()));
     }
     for (int x = 0; x < sim_.width(); ++x) {
         for (int y = 0; y < sim_.height(); ++y) {
             wse::Pe &pe = sim_.pe(x, y);
-            for (size_t i = 0; i < scalarName_.size(); ++i)
-                if (scalarName_[i].valid())
-                    agree(scalarId_[i], pe.scalarId(scalarName_[i]),
-                          scalarName_[i], pe);
             for (const VarPlan &v : varPlan_) {
                 if (v.roleInterior)
-                    pe.scalar(pe.scalarId(v.peName)) =
-                        interiorEverywhere(x, y) ? 1.0 : 0.0;
+                    pe.scalar(v.scalar) = interiorEverywhere(x, y) ? 1.0 : 0.0;
                 if (v.roleSite >= 0)
-                    pe.scalar(pe.scalarId(v.peName)) =
+                    pe.scalar(v.scalar) =
                         comms_[v.roleSite]->expectedSections(x, y) > 0
                             ? 1.0
                             : 0.0;
@@ -640,30 +621,22 @@ CslProgramInstance::configure()
                     });
                 agree(c.task, id, c.peName, pe);
             }
-            if (referenceMode_)
+            if (referenceMode_) {
+                for (const VarPlan &v : varPlan_)
+                    if (v.kind == VarPlan::Kind::Ptr)
+                        peEnvs_[pe.id()].ptrs[v.peName.str()] =
+                            pe.bufferId(v.ptrInit);
                 continue;
-
-            VarSlot *vars = varSlots_.data() + pe.id() * varNames_.size();
-            for (size_t i = 0; i < varNames_.size(); ++i) {
-                VarSlot &slot = vars[i];
-                if (bufferId_[i].valid())
-                    slot.data = &pe.buffer(bufferId_[i]);
-                slot.ptrTarget = ptrInit_[i];
-                if (ptrInit_[i].valid())
-                    slot.ptrData = &pe.buffer(ptrInit_[i]);
             }
-        }
-    }
-
-    if (!referenceMode_) {
-        // Activation targets and comms callbacks: one lookup each, on
-        // the first PE (task handles agree on every PE).
-        wse::Pe &first = sim_.pe(0, 0);
-        for (const std::string &task : taskNames_)
-            taskId_.push_back(first.taskId(task));
-        for (const auto &[recvCb, doneCb] : siteCbNames_) {
-            commRecv_.push_back(first.taskId(recvCb));
-            commDone_.push_back(first.taskId(doneCb));
+            VarSlot *vars = varSlots_.data() + pe.id() * varPlan_.size();
+            for (size_t i = 0; i < varPlan_.size(); ++i) {
+                const VarPlan &v = varPlan_[i];
+                if (v.buffer.valid())
+                    vars[i].data = &pe.buffer(v.buffer);
+                vars[i].ptrTarget = v.ptrTarget;
+                if (v.ptrTarget.valid())
+                    vars[i].ptrData = &pe.buffer(v.ptrTarget);
+            }
         }
     }
 }
@@ -671,27 +644,11 @@ CslProgramInstance::configure()
 void
 CslProgramInstance::resolveVarTable(wse::Pe &pe)
 {
-    std::map<std::string, const VarPlan *> planOf;
-    for (const VarPlan &v : varPlan_)
-        planOf[v.peName.str()] = &v;
-    const size_t n = varNames_.size();
-    scalarId_.assign(n, {});
-    bufferId_.assign(n, {});
-    ptrInit_.assign(n, {});
-    scalarName_.assign(n, {});
-    for (size_t i = 0; i < n; ++i) {
-        const std::string &name = varNames_[i];
-        auto it = planOf.find(name);
-        const VarPlan *v = it == planOf.end() ? nullptr : it->second;
-        bool isBufOrPtr = v && v->kind != VarPlan::Kind::Scalar;
-        if (v && v->kind == VarPlan::Kind::Ptr)
-            ptrInit_[i] = pe.bufferId(v->ptrInit);
-        if (wse::BufferId buf = pe.findBuffer(name); buf.valid())
-            bufferId_[i] = buf;
-        else if (!isBufOrPtr)
-            // A module scalar, or a name the code uses without declaring
-            // it (a zero-initialised scalar, interned on every PE).
-            scalarName_[i] = v ? v->peName : sim_.internName(name);
+    for (VarPlan &v : varPlan_) {
+        if (v.kind == VarPlan::Kind::CommsOwned)
+            v.buffer = pe.findBuffer(v.peName.str());
+        else if (v.kind == VarPlan::Kind::Ptr)
+            v.ptrTarget = pe.bufferId(v.ptrInit);
     }
 
     // Every scalar-accessing instruction must name a scalar — the
@@ -705,9 +662,9 @@ CslProgramInstance::resolveVarTable(wse::Pe &pe)
         for (const Instr &ins : body.code) {
             if (ins.op == Opcode::LoadScalar ||
                 ins.op == Opcode::StoreScalar)
-                WSC_ASSERT(scalarName_[ins.var].valid(),
+                WSC_ASSERT(varPlan_[ins.var].kind == VarPlan::Kind::Scalar,
                            "scalar access to non-scalar variable `"
-                               << varNames_[ins.var] << "`");
+                               << varPlan_[ins.var].peName.str() << "`");
         }
     }
 }
@@ -755,7 +712,7 @@ CslProgramInstance::runTask(int idx, wse::TaskContext &ctx)
         return;
     }
     const CompiledBody &cb = bodies_[static_cast<size_t>(idx)];
-    PeRt rt{varSlots_.data() + peIdx * varNames_.size(),
+    PeRt rt{varSlots_.data() + peIdx * varPlan_.size(),
             frames_[static_cast<size_t>(ctx.pe().shard().index())]};
     std::vector<RtValue> slots = rt.frames.acquire(cb.numSlots);
     if (c.wantsOffset) {
@@ -900,11 +857,11 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
         case Opcode::Return:
             return;
         case Opcode::LoadScalar:
-            setNum(ins.dst, pe.scalarUnchecked(scalarId_[ins.var]));
+            setNum(ins.dst, pe.scalarUnchecked(varPlan_[ins.var].scalar));
             ctx.consume(1);
             break;
         case Opcode::LoadBuffer:
-            setRef(ins.dst, RtValue::Kind::Buffer, bufferId_[ins.var],
+            setRef(ins.dst, RtValue::Kind::Buffer, varPlan_[ins.var].buffer,
                    vars[ins.var].data);
             ctx.consume(1);
             break;
@@ -919,7 +876,7 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(1);
             break;
         case Opcode::StoreScalar:
-            pe.scalarUnchecked(scalarId_[ins.var]) = slots[ins.a].num;
+            pe.scalarUnchecked(varPlan_[ins.var].scalar) = slots[ins.a].num;
             ctx.consume(1);
             break;
         case Opcode::StorePtr:
@@ -928,11 +885,11 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(1);
             break;
         case Opcode::AddressOf:
-            setRef(ins.dst, RtValue::Kind::Ptr, bufferId_[ins.var],
+            setRef(ins.dst, RtValue::Kind::Ptr, varPlan_[ins.var].buffer,
                    vars[ins.var].data);
             break;
         case Opcode::GetMemDsd:
-            setMemDsd(ins, bufferId_[ins.var], vars[ins.var].data);
+            setMemDsd(ins, varPlan_[ins.var].buffer, vars[ins.var].data);
             break;
         case Opcode::GetMemDsdViaPtr:
             setMemDsd(ins, vars[ins.var].ptrTarget, vars[ins.var].ptrData);
@@ -977,15 +934,16 @@ CslProgramInstance::execCompiled(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(2);
             break;
         case Opcode::Activate:
-            pe.activate(taskId_[ins.task], ctx.currentCycle());
+            pe.activate(callablePlan_[ins.body0].task, ctx.currentCycle());
             ctx.consume(2);
             break;
         case Opcode::CommsExchange: {
             const RtValue &send = slots[ins.a];
             WSC_ASSERT(send.kind == RtValue::Kind::DsdVal,
                        "comms_exchange expects a DSD operand");
-            comms_[ins.site]->exchange(ctx, send.buf, commRecv_[ins.site],
-                                       commDone_[ins.site]);
+            comms_[ins.site]->exchange(ctx, send.buf,
+                                       callablePlan_[ins.body0].task,
+                                       callablePlan_[ins.body1].task);
             ctx.consume(4);
             break;
         }
@@ -1029,10 +987,10 @@ void
 CslProgramInstance::runCallable(const std::string &name, PeEnv &peEnv,
                                 wse::TaskContext &ctx)
 {
-    auto it = callables_.find(name);
-    WSC_ASSERT(it != callables_.end(), "call of unknown symbol " << name);
+    auto it = bodyOf_.find(name);
+    WSC_ASSERT(it != bodyOf_.end(), "call of unknown symbol " << name);
     SsaEnv env;
-    execBody(csl::calleeBody(it->second), env, peEnv, ctx);
+    execBody(csl::calleeBody(callablePlan_[it->second].op), env, peEnv, ctx);
 }
 
 void
@@ -1111,10 +1069,11 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
             RtValue v;
             if (ir::isMemRef(t)) {
                 v.kind = RtValue::Kind::Buffer;
-                v.str = op->hasAttr(ir::attrs::kViaPtr) ? peEnv.ptrs.at(var) : var;
+                v.buf = op->hasAttr(ir::attrs::kViaPtr) ? peEnv.ptrs.at(var)
+                                                        : pe.findBuffer(var);
             } else if (csl::isPtrType(t)) {
                 v.kind = RtValue::Kind::Ptr;
-                v.str = peEnv.ptrs.at(var);
+                v.buf = peEnv.ptrs.at(var);
             } else {
                 v.kind = RtValue::Kind::Num;
                 v.num = pe.scalar(var);
@@ -1128,7 +1087,7 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
             RtValue v = evalOperand(env, op->operand(0));
             if (v.kind == RtValue::Kind::Ptr ||
                 v.kind == RtValue::Kind::Buffer)
-                peEnv.ptrs[var] = v.str;
+                peEnv.ptrs[var] = v.buf;
             else
                 pe.scalar(var) = v.num;
             ctx.consume(1);
@@ -1137,18 +1096,17 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
         if (n == csl::kAddressOf) {
             RtValue v;
             v.kind = RtValue::Kind::Ptr;
-            v.str = op->strAttr(ir::attrs::kVar);
+            v.buf = pe.findBuffer(op->strAttr(ir::attrs::kVar));
             env[op->result().impl()] = v;
             continue;
         }
         if (n == csl::kGetMemDsd) {
             const std::string &var = op->strAttr(ir::attrs::kVar);
-            std::string bufName =
-                op->hasAttr(ir::attrs::kViaPtr) ? peEnv.ptrs.at(var) : var;
             RtValue v;
             v.kind = RtValue::Kind::DsdVal;
-            v.str = bufName;
-            v.dsd.buf = &pe.buffer(bufName);
+            v.buf = op->hasAttr(ir::attrs::kViaPtr) ? peEnv.ptrs.at(var)
+                                                    : pe.bufferId(var);
+            v.dsd.buf = &pe.buffer(v.buf);
             v.dsd.offset = op->intAttr(ir::attrs::kOffset);
             v.dsd.length = op->intAttr(ir::attrs::kLength);
             v.dsd.stride = op->intAttr(ir::attrs::kStride);
@@ -1221,8 +1179,9 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
             WSC_ASSERT(send.kind == RtValue::Kind::DsdVal,
                        "comms_exchange expects a DSD operand");
             csl::CommsExchangeSpec spec = csl::commsExchangeSpec(op);
-            comms_[site]->exchange(ctx, send.str, spec.recvCallback,
-                                   spec.doneCallback);
+            comms_[site]->exchange(ctx, send.buf,
+                                   pe.taskId(spec.recvCallback),
+                                   pe.taskId(spec.doneCallback));
             ctx.consume(4);
             continue;
         }
@@ -1263,21 +1222,19 @@ CslProgramInstance::readFieldColumn(const std::string &field, int x, int y)
             rf = &r;
     if (!rf)
         return pe.buffer(field);
-    if (!referenceMode_) {
-        // Compiled mode tracks pointer rotation in the variable slots,
-        // not the (reference-mode) string environment.
-        WSC_ASSERT(!rf->viaPtr || rf->varIdx >= 0,
-                   "unknown pointer variable `" << rf->var << "`");
-        if (rf->viaPtr)
-            return pe.buffer(
-                varSlots_[pe.id() * varNames_.size() + rf->varIdx]
-                    .ptrTarget);
-        if (rf->varIdx >= 0 && bufferId_[rf->varIdx].valid())
-            return pe.buffer(bufferId_[rf->varIdx]);
+    if (!rf->viaPtr) {
+        if (!referenceMode_ && rf->varIdx >= 0 &&
+            varPlan_[rf->varIdx].buffer.valid())
+            return pe.buffer(varPlan_[rf->varIdx].buffer);
         return pe.buffer(rf->var);
     }
-    return pe.buffer(rf->viaPtr ? peEnvs_[pe.id()].ptrs.at(rf->var)
-                                : rf->var);
+    if (referenceMode_)
+        return pe.buffer(peEnvs_[pe.id()].ptrs.at(rf->var));
+    // Compiled mode tracks pointer rotation in the variable slots.
+    WSC_ASSERT(rf->varIdx >= 0,
+               "unknown pointer variable `" << rf->var << "`");
+    return pe.buffer(
+        varSlots_[pe.id() * varPlan_.size() + rf->varIdx].ptrTarget);
 }
 
 const std::vector<wse::Cycles> &

@@ -116,10 +116,9 @@ class CslProgramInstance
         enum class Kind { None, Num, Buffer, DsdVal, Ptr };
         Kind kind = Kind::None;
         double num = 0.0;
-        /** Dense buffer handle (compiled mode): the buffer (Buffer,
-         *  DsdVal) or the pointer target (Ptr). */
+        /** Dense buffer handle: the buffer (Buffer, DsdVal) or the
+         *  pointer target (Ptr). */
         wse::BufferId buf;
-        std::string str; ///< buffer name / target (reference mode only)
         /** DSD view; for Buffer/Ptr kinds only dsd.buf is meaningful
          *  (the cached data pointer riding with the handle). */
         wse::Dsd dsd;
@@ -128,14 +127,15 @@ class CslProgramInstance
     /** Reference-mode per-PE state. */
     struct PeEnv
     {
-        /** Pointer-variable targets (buffer names). */
-        std::map<std::string, std::string> ptrs;
+        /** Pointer-variable targets, resolved by name on this PE. */
+        std::map<std::string, wse::BufferId> ptrs;
     };
 
     /// @name Per-program plan (read from the IR once by configure())
     /// @{
 
-    /** One module variable. */
+    /** One module variable, or a name the code uses without declaring
+     *  it (a zero-initialised scalar). */
     struct VarPlan
     {
         enum class Kind : uint8_t { Buffer, CommsOwned, Ptr, Scalar };
@@ -155,20 +155,23 @@ class CslProgramInstance
          *  site roleSite computes (roleSite >= 0). */
         bool roleInterior = false;
         int roleSite = -1;
-        /** Buffer / Scalar handle, the same on every PE. */
+        /** Handles, the same on every PE: the variable's buffer (Buffer,
+         *  CommsOwned), its scalar (Scalar) and its initial pointer
+         *  target (Ptr). */
         wse::BufferId buffer;
         wse::ScalarId scalar;
+        wse::BufferId ptrTarget;
     };
 
-    /** One csl.func / csl.task, registered as a task on every PE. In
-     *  compiled mode callable i is body i. */
+    /** One csl.func / csl.task, registered as a task on every PE.
+     *  Callable i is body i in compiled mode. */
     struct CallablePlan
     {
         wse::PeName peName;
         ir::Operation *op = nullptr;
         /** A 1-argument body binds the chunk offset of comms site
-         *  recvSite; recvSite -1 panics when (and only if) the task is
-         *  activated. */
+         *  recvSite (the site whose receive callback this is); recvSite
+         *  -1 panics when (and only if) the task is activated. */
         bool wantsOffset = false;
         int recvSite = -1;
         /** for_cond0: records per-step dispatch timestamps. */
@@ -183,7 +186,7 @@ class CslProgramInstance
         std::string field;
         std::string var;
         bool viaPtr = false;
-        /** Compiled mode: var-table index of `var` (-1 = unknown). */
+        /** varPlan_ index of `var` (-1 = undeclared). */
         int32_t varIdx = -1;
     };
     /// @}
@@ -218,11 +221,11 @@ class CslProgramInstance
         double imm = 0.0;
         /** DSD shape (GetMemDsd); wrap 0 = no broadcast wrap. */
         int64_t offset = 0, length = 0, stride = 1, wrap = 0;
-        /** Variable table index (loads/stores/DSDs/addressof). */
+        /** varPlan_ index (loads/stores/DSDs/addressof). */
         int32_t var = -1;
-        /** Task table index (Activate). */
-        int32_t task = -1;
-        /** Nested bodies: then/else for If, callee for Call. */
+        /** Body indices (callable i is body i): then/else for If, callee
+         *  for Call, target for Activate, receive/done callbacks for
+         *  CommsExchange. */
         int32_t body0 = -1, body1 = -1;
         /** Comms site index (CommsExchange). */
         uint32_t site = 0;
@@ -292,10 +295,12 @@ class CslProgramInstance
     void compileProgram();
     /** Append the Return sentinel the dispatch loop relies on. */
     void sealBodies();
-    /** Read variables, callables and the result mapping into the plan. */
+    /** Read the variables and the result mapping into the plan (the
+     *  callables and comms sites are planned first). */
     void planProgram(const std::map<std::string, ir::Operation *> &variables);
-    /** Resolve the var table's handles on one PE (they are the same on
-     *  every PE) and validate them: panics at configure, not mid-run. */
+    /** Resolve the comms-owned buffer and pointer-target handles on one
+     *  PE after StarComm::setup (they are the same on every PE) and
+     *  check scalar accesses: panics at configure, not mid-run. */
     void resolveVarTable(wse::Pe &pe);
 
     /** Body of every registered task: run callable `idx` on ctx's PE. */
@@ -319,15 +324,16 @@ class CslProgramInstance
 
     wse::Simulator &sim_;
     ir::Operation *program_ = nullptr;
-    std::map<std::string, ir::Operation *> callables_;
     std::map<std::string, FieldInitFn> fieldInits_;
     std::vector<std::unique_ptr<comms::StarComm>> comms_;
     /** comms site index per csl.comms_exchange op. */
     std::map<ir::Operation *, size_t> commSiteOf_;
-    /** comms site per receive-callback task name. */
-    std::map<std::string, size_t> commOfRecvCb_;
+    /** The variable table and its index by name. */
     std::vector<VarPlan> varPlan_;
+    std::map<std::string, int32_t> varIndex_;
+    /** The callable table and its index by name. */
     std::vector<CallablePlan> callablePlan_;
+    std::map<std::string, int> bodyOf_;
     std::vector<ResultField> resultFields_;
     /** Reference mode only. */
     std::vector<PeEnv> peEnvs_;
@@ -344,38 +350,17 @@ class CslProgramInstance
     bool launched_ = false;
     bool referenceMode_ = false;
 
+    /** varPlan_ index of `name`; a name the code uses without declaring
+     *  it gets a zero-initialised scalar entry. */
+    int32_t varIdx(const std::string &name);
+    /** Callable index of `name`; panics when it names no callable. */
+    int32_t callableIdx(const std::string &name) const;
+
     /// @name Compiled program (shared across PEs)
     /// @{
-    /** Intern a variable name into the var table. */
-    int32_t varIdx(const std::string &name);
-    /** Intern a task name into the task table. */
-    int32_t taskIdx(const std::string &name);
-
     std::vector<CompiledBody> bodies_;
-    std::map<std::string, int> bodyOf_;
-    std::vector<std::string> varNames_;
-    std::map<std::string, int32_t> varIndex_;
-    /** Activate-target task names. */
-    std::vector<std::string> taskNames_;
-    std::map<std::string, int32_t> taskIndex_;
-    /** Receive / done callback names per comms site. */
-    std::vector<std::pair<std::string, std::string>> siteCbNames_;
     std::deque<std::string> stringPool_;
-
-    /** Handles per var-table index, the same on every PE: scalar
-     *  (invalid = not a scalar), buffer (invalid = no buffer) and the
-     *  pointer variable's initial target. */
-    std::vector<wse::ScalarId> scalarId_;
-    std::vector<wse::BufferId> bufferId_;
-    std::vector<wse::BufferId> ptrInit_;
-    /** Names of the var table's scalars (invalid for non-scalars). */
-    std::vector<wse::PeName> scalarName_;
-    /** Task handle per Activate target, and receive / done callback
-     *  task per comms site, the same on every PE. */
-    std::vector<wse::TaskId> taskId_;
-    std::vector<wse::TaskId> commRecv_;
-    std::vector<wse::TaskId> commDone_;
-    /** Per-PE state: PE p's var slots are varSlots_[p * varNames_.size()
+    /** Per-PE state: PE p's var slots are varSlots_[p * varPlan_.size()
      *  ...], allocated once for the whole grid. */
     std::vector<VarSlot> varSlots_;
     /** Activation frames, one stack per shard (see FrameStack). */

@@ -1,10 +1,11 @@
 /**
  * @file
- * Set-up allocation budget: the marginal heap allocations per PE of
- * Simulator construction and CslProgramInstance::configure() on the
- * acoustic program. The lowering emits one pe.csl program for every PE,
- * so per-PE set-up may allocate that PE's own buffers and a few flat
- * tables, never per-PE names, hash nodes, deques or route tables.
+ * Allocation budgets on the acoustic program. Set-up: the marginal heap
+ * allocations per PE of Simulator construction and
+ * CslProgramInstance::configure(). The lowering emits one pe.csl program
+ * for every PE, so per-PE set-up may allocate that PE's own buffers and
+ * a few flat tables, never per-PE names, hash nodes, deques or route
+ * tables. Run phase: the marginal heap allocations per halo exchange.
  *
  * This file is its own executable (`wsc_alloc_tests`, `ctest -L alloc`)
  * because it replaces the global operator new to count allocations.
@@ -60,23 +61,24 @@ void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 namespace wsc::test {
 namespace {
 
-/** Allocations of one set-up at an n x n grid. */
-struct SetUpAllocations
+/** Allocations of one set-up and run at an n x n grid. */
+struct Allocations
 {
-    uint64_t construct = 0;
-    uint64_t configure = 0;
+    int64_t construct = 0;
+    int64_t configure = 0;
+    int64_t run = 0;
 };
 
-SetUpAllocations
-measure(int n)
+Allocations
+measure(int n, int timesteps = 2)
 {
-    fe::Benchmark bench = fe::makeAcoustic(n, n, /*timesteps=*/2, /*nz=*/8);
+    fe::Benchmark bench = fe::makeAcoustic(n, n, timesteps, /*nz=*/8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
 
-    SetUpAllocations out;
+    Allocations out;
     uint64_t before = gAllocations.load();
     wse::Simulator sim(wse::ArchParams::wse3(), n, n);
     out.construct = gAllocations.load() - before;
@@ -96,15 +98,17 @@ measure(int n)
 
     // The instance must still run: the budget is for a working set-up.
     instance.launch();
+    before = gAllocations.load();
     sim.runWithReport();
+    out.run = gAllocations.load() - before;
     EXPECT_EQ(instance.unblockCount(), static_cast<uint64_t>(n) * n);
     return out;
 }
 
 TEST(AllocBudget, SetUpAllocationsPerPe)
 {
-    SetUpAllocations small = measure(24);
-    SetUpAllocations large = measure(48);
+    Allocations small = measure(24);
+    Allocations large = measure(48);
     const double pes = 48.0 * 48.0 - 24.0 * 24.0;
     const double construct =
         static_cast<double>(large.construct - small.construct) / pes;
@@ -115,6 +119,22 @@ TEST(AllocBudget, SetUpAllocationsPerPe)
                 construct, configure);
     EXPECT_LE(construct, 2.0);
     EXPECT_LE(configure, 16.0);
+}
+
+TEST(AllocBudget, RunPhaseAllocationsPerExchange)
+{
+    // Acoustic runs one halo exchange per PE per time step. Differencing
+    // over steps and over grid sizes leaves the allocations of one
+    // exchange on one PE.
+    auto extraSteps = [](int n) {
+        return measure(n, 12).run - measure(n, 4).run;
+    };
+    const double exchanges = (16.0 * 16.0 - 8.0 * 8.0) * 8.0;
+    const double perExchange =
+        static_cast<double>(extraSteps(16) - extraSteps(8)) / exchanges;
+    std::printf("marginal run-phase allocations per exchange: %.2f\n",
+                perExchange);
+    EXPECT_LE(perExchange, 2.5);
 }
 
 } // namespace

@@ -94,14 +94,18 @@ TEST_F(InterpUnit, ScalarVariablesAndControlFlow)
     csl::createReturn(fb);
     ASSERT_TRUE(ir::succeeded(ir::verify(module.get())));
 
-    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
-    interp::CslProgramInstance instance(sim, module.get());
-    instance.configure();
-    instance.launch();
-    sim.runWithReport();
-    EXPECT_EQ(sim.pe(0, 0).scalar("counter"), 5.0);
-    // f_main + 6 count_up dispatches.
-    EXPECT_EQ(sim.pe(0, 0).taskActivations(), 7u);
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        instance.launch();
+        sim.runWithReport();
+        EXPECT_EQ(sim.pe(0, 0).scalar("counter"), 5.0);
+        // f_main + 6 count_up dispatches.
+        EXPECT_EQ(sim.pe(0, 0).taskActivations(), 7u);
+    }
 }
 
 TEST_F(InterpUnit, PointerVariablesRotateBuffers)
@@ -130,15 +134,34 @@ TEST_F(InterpUnit, PointerVariablesRotateBuffers)
     csl::createBuiltin(fb, csl::kFmovs,
                        {d2, ar::createConstantF32(fb, 2.0)});
     csl::createReturn(fb);
+    // Host read-back: "rotated" through pa (now b), "fixed" from a.
+    auto result = [&](const std::string &field, const std::string &var,
+                      bool viaPtr) {
+        return ir::getDictAttr(
+            ctx, {{"field", ir::getStringAttr(ctx, field)},
+                  {"var", ir::getStringAttr(ctx, var)},
+                  {"via_ptr", ir::getIntAttr(ctx, viaPtr ? 1 : 0)}});
+    };
+    program->setAttr("result_fields",
+                     ir::getArrayAttr(ctx, {result("rotated", "pa", true),
+                                            result("fixed", "a", false)}));
     ASSERT_TRUE(ir::succeeded(ir::verify(module.get())));
 
-    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
-    interp::CslProgramInstance instance(sim, module.get());
-    instance.configure();
-    instance.launch();
-    sim.runWithReport();
-    EXPECT_EQ(sim.pe(0, 0).buffer("a"), std::vector<float>(4, 1.0f));
-    EXPECT_EQ(sim.pe(0, 0).buffer("b"), std::vector<float>(4, 2.0f));
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        instance.launch();
+        sim.runWithReport();
+        EXPECT_EQ(sim.pe(0, 0).buffer("a"), std::vector<float>(4, 1.0f));
+        EXPECT_EQ(sim.pe(0, 0).buffer("b"), std::vector<float>(4, 2.0f));
+        EXPECT_EQ(instance.readFieldColumn("rotated", 0, 0),
+                  std::vector<float>(4, 2.0f));
+        EXPECT_EQ(instance.readFieldColumn("fixed", 0, 0),
+                  std::vector<float>(4, 1.0f));
+    }
 }
 
 TEST_F(InterpUnit, CallsExecuteSynchronously)
@@ -163,13 +186,17 @@ TEST_F(InterpUnit, CallsExecuteSynchronously)
     csl::createReturn(fb);
     ASSERT_TRUE(ir::succeeded(ir::verify(module.get())));
 
-    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
-    interp::CslProgramInstance instance(sim, module.get());
-    instance.configure();
-    instance.launch();
-    sim.runWithReport();
-    // Two helper calls ran before the final increment: 10+10+1.
-    EXPECT_EQ(sim.pe(0, 0).scalar("order"), 21.0);
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        instance.launch();
+        sim.runWithReport();
+        // Two helper calls ran before the final increment: 10+10+1.
+        EXPECT_EQ(sim.pe(0, 0).scalar("order"), 21.0);
+    }
 }
 
 TEST_F(InterpUnit, IncrementDsdOffsetShiftsTheView)
@@ -185,15 +212,19 @@ TEST_F(InterpUnit, IncrementDsdOffsetShiftsTheView)
     csl::createReturn(fb);
     ASSERT_TRUE(ir::succeeded(ir::verify(module.get())));
 
-    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
-    interp::CslProgramInstance instance(sim, module.get());
-    instance.configure();
-    instance.launch();
-    sim.runWithReport();
-    const std::vector<float> &x = sim.pe(0, 0).buffer("x");
-    EXPECT_EQ(x[3], 0.0f);
-    EXPECT_EQ(x[4], 9.0f);
-    EXPECT_EQ(x[7], 9.0f);
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        instance.launch();
+        sim.runWithReport();
+        const std::vector<float> &x = sim.pe(0, 0).buffer("x");
+        EXPECT_EQ(x[3], 0.0f);
+        EXPECT_EQ(x[4], 9.0f);
+        EXPECT_EQ(x[7], 9.0f);
+    }
 }
 
 TEST_F(InterpUnit, UnknownOpIsRejected)
@@ -269,6 +300,109 @@ TEST_F(InterpUnit, OffsetTaskOutsideCommsPanicsOnlyWhenActivated)
                       std::string::npos)
                 << e.what();
         }
+    }
+}
+
+TEST_F(InterpUnit, UndeclaredScalarReadsZero)
+{
+    // A name the code uses without declaring it is a zero-initialised
+    // scalar in both modes.
+    csl::createVariable(*pb, "out", ir::getI32Type(ctx),
+                        ir::getIntAttr(ctx, 1));
+    ir::OpBuilder fb = makeFunc("f_main");
+    ir::Value ghost = csl::createLoadVar(fb, "ghost", ir::getI32Type(ctx));
+    csl::createStoreVar(fb, "out",
+                        ar::createAddI(fb, ghost,
+                                       ar::createConstantI32(fb, 7)));
+    csl::createReturn(fb);
+
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        instance.configure();
+        instance.launch();
+        sim.runWithReport();
+        EXPECT_EQ(sim.pe(0, 0).scalar("out"), 7.0);
+        EXPECT_EQ(sim.pe(0, 0).scalar("ghost"), 0.0);
+    }
+}
+
+/** Run `fn` and return the PanicError message it throws ("" if none). */
+template <class Fn>
+std::string
+panicMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(InterpUnit, ActivateOfNonCallablePanics)
+{
+    // Compiled mode resolves every activate target at configure; the
+    // reference evaluator resolves it by name when the activate runs.
+    ir::OpBuilder fb = makeFunc("f_main");
+    csl::createActivate(fb, "nowhere");
+    csl::createReturn(fb);
+
+    {
+        wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        std::string msg = panicMessage([&] { instance.configure(); });
+        EXPECT_NE(msg.find("`nowhere`"), std::string::npos) << msg;
+    }
+    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+    interp::CslProgramInstance instance(sim, module.get());
+    instance.setReferenceMode(true);
+    EXPECT_NO_THROW(instance.configure());
+    instance.launch();
+    std::string msg = panicMessage([&] { sim.runWithReport(); });
+    EXPECT_NE(msg.find("`nowhere`"), std::string::npos) << msg;
+}
+
+TEST_F(InterpUnit, ScalarLoadOfBufferFailsConfigure)
+{
+    ir::Type buf = ir::getMemRefType(ctx, {4}, ir::getF32Type(ctx));
+    csl::createVariable(*pb, "x", buf);
+    ir::OpBuilder fb = makeFunc("f_main");
+    csl::createLoadVar(fb, "x", ir::getI32Type(ctx));
+    csl::createReturn(fb);
+
+    wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
+    interp::CslProgramInstance instance(sim, module.get());
+    std::string msg = panicMessage([&] { instance.configure(); });
+    EXPECT_NE(msg.find("scalar access to non-scalar variable `x`"),
+              std::string::npos)
+        << msg;
+}
+
+TEST_F(InterpUnit, CommsReceiveCallbackMustBeACallable)
+{
+    // Both modes resolve a comms site's callbacks at configure.
+    ir::Type buf = ir::getMemRefType(ctx, {4}, ir::getF32Type(ctx));
+    csl::createVariable(*pb, "u", buf);
+    makeFunc("done_cb");
+    ir::OpBuilder fb = makeFunc("f_main");
+    csl::CommsExchangeSpec spec;
+    spec.recvCallback = "missing_cb";
+    spec.doneCallback = "done_cb";
+    spec.accesses = {{1, 0}};
+    spec.zSize = 4;
+    csl::createCommsExchange(fb, csl::createGetMemDsd(fb, "u", 0, 4), spec);
+    csl::createReturn(fb);
+
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference" : "compiled");
+        wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
+        interp::CslProgramInstance instance(sim, module.get());
+        instance.setReferenceMode(reference);
+        std::string msg = panicMessage([&] { instance.configure(); });
+        EXPECT_NE(msg.find("`missing_cb`"), std::string::npos) << msg;
     }
 }
 
