@@ -331,11 +331,12 @@ StarComm::exchange(wse::TaskContext &ctx, wse::BufferId sendBufId,
     if (sim_.options().exchangeTimeoutCycles > 0)
         scheduleTimeout(pe, epoch, /*attempt=*/0, ctx.currentCycle());
 
-    // Drain completions that arrived before this exchange started (a
-    // neighbour running ahead; the hardware equivalent is data waiting in
-    // the input queues).
+    // Drain units that landed before this exchange started (a neighbour
+    // running ahead; the hardware equivalent is data waiting in the
+    // input queues). A unit whose sections have all arrived but not yet
+    // landed is announced by its landing event.
     for (int64_t u = 0; u < numUnits(); ++u)
-        if (es.arrivals[u] == sectionsPerUnit() && !es.announced[u])
+        if (es.units[u].landed && !es.units[u].announced)
             announce(pe, st, es, u, pe.now());
 }
 
@@ -354,8 +355,7 @@ StarComm::epochState(PeState &st, int64_t epoch)
     // Reset in place: a re-keyed node keeps its capacity, and its stash
     // was released when it was pruned.
     EpochState &es = it->second;
-    es.arrivals.assign(numUnits(), 0);
-    es.announced.assign(numUnits(), 0);
+    es.units.assign(numUnits(), UnitState{});
     es.stash.resize(config_.numChunks * numSections());
     es.senderInjectDone = 0;
     es.degraded = false;
@@ -366,7 +366,7 @@ void
 StarComm::announce(wse::Pe &pe, PeState &st, EpochState &es, int64_t unit,
                    wse::Cycles readyAt)
 {
-    es.announced[unit] = 1;
+    es.units[unit].announced = true;
     st.pending.emplace_back(st.activeEpoch, unit);
     pe.activate(st.recvCb, readyAt);
     st.stats.recvCallbacks++;
@@ -444,7 +444,7 @@ StarComm::degradeExchange(wse::Pe &pe, PeState &st, EpochState &es,
     // the last announcement fires finishExchange as usual — the program
     // continues instead of deadlocking on a dead neighbour.
     for (int64_t u = 0; u < numUnits(); ++u)
-        if (!es.announced[u])
+        if (!es.units[u].announced)
             announce(pe, st, es, u, readyAt);
 }
 
@@ -477,15 +477,32 @@ StarComm::onDelivery(const wse::StreamDelivery &delivery, int accessIdx)
     // returns to its ring when the receive callback materializes it.
     es.stash[index] = delivery.payload;
     int64_t unit = index / sectionsPerUnit();
-    es.arrivals[unit]++;
+    int arrivals = ++es.units[unit].arrivals;
     st.stats.chunksDelivered++;
 
     WSC_ASSERT(expectedSections(delivery.peX, delivery.peY) > 0,
                "delivery to a non-computing PE");
-    WSC_ASSERT(es.arrivals[unit] <= sectionsPerUnit(), "duplicate delivery");
-    if (es.arrivals[unit] == sectionsPerUnit() && st.exchangeActive &&
-        senderEpoch == st.activeEpoch && !es.announced[unit])
-        announce(pe, st, es, unit, delivery.completeAt);
+    WSC_ASSERT(arrivals <= sectionsPerUnit(), "duplicate delivery");
+    if (arrivals < sectionsPerUnit())
+        return;
+    // The unit's last section has arrived. Ramp transfers serialize on
+    // the PE's work timeline, so it is also the unit's last section to
+    // land: one event at its landing cycle completes the unit.
+    pe.shard().push(pe.id(), delivery.completeAt,
+                    [this, &pe, senderEpoch, unit] {
+                        onUnitLanded(pe, senderEpoch, unit);
+                    });
+}
+
+void
+StarComm::onUnitLanded(wse::Pe &pe, int64_t epoch, int64_t unit)
+{
+    PeState &st = state(pe.x(), pe.y());
+    EpochState &es = epochState(st, epoch);
+    es.units[unit].landed = true;
+    if (st.exchangeActive && epoch == st.activeEpoch &&
+        !es.units[unit].announced)
+        announce(pe, st, es, unit, pe.now());
 }
 
 int64_t

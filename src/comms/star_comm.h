@@ -170,19 +170,33 @@ class StarComm
      * The receive callback fires once per *unit*: a whole chunk, or one
      * (chunk, section) piece with perSectionCallbacks. Unit u covers the
      * sectionsPerUnit() stash entries from u * sectionsPerUnit().
+     *
+     * The fabric delivers a section when its stream head reaches the
+     * PE: it is stashed and counted in UnitState::arrivals then. The
+     * unit's last arrival schedules one event at its landing cycle,
+     * which sets `landed` and announces the unit if its exchange is
+     * active; an exchange that starts later announces the units
+     * already `landed`.
      */
+    struct UnitState
+    {
+        int arrivals = 0;       ///< sections whose head has arrived
+        bool landed = false;    ///< all sections have landed
+        bool announced = false; ///< recvCb issued
+    };
     struct EpochState
     {
-        std::vector<int> arrivals;   ///< sections landed, per unit
-        std::vector<char> announced; ///< recvCb issued, per unit
-        /** stash[chunk * numSections + section] pins the landed payload
+        std::vector<UnitState> units;
+        /** stash[chunk * numSections + section] pins the arrived payload
          *  slot (no copy) until the receive callback materializes it. */
         std::vector<wse::PayloadRef> stash;
         wse::Cycles senderInjectDone = 0;
         /**
          * Set when the exchange watchdog gave up waiting: outstanding
          * chunks were force-announced and their missing sections read
-         * as zeros (graceful degradation under injected faults).
+         * as zeros (graceful degradation under injected faults). A
+         * section whose head had arrived reads as delivered, landed or
+         * not: its ramp transfer ends before the receive task starts.
          */
         bool degraded = false;
     };
@@ -231,9 +245,12 @@ class StarComm
     /** The epoch's bookkeeping, created (or re-keyed from the spare
      *  node) on first use by either side. */
     EpochState &epochState(PeState &st, int64_t epoch);
-    /** A stream landed section `accessIdx` of the chunk and epoch
-     *  packed in delivery.tag (streamTag). */
+    /** The head of section `accessIdx` of the chunk and epoch packed
+     *  in delivery.tag (streamTag) reached the PE; it lands at
+     *  delivery.completeAt. */
     void onDelivery(const wse::StreamDelivery &delivery, int accessIdx);
+    /** Landing event of a unit's last section. */
+    void onUnitLanded(wse::Pe &pe, int64_t epoch, int64_t unit);
     void announce(wse::Pe &pe, PeState &st, EpochState &es, int64_t unit,
                   wse::Cycles readyAt);
     /**

@@ -254,17 +254,12 @@ Fabric::segmentArrive(Segment &seg)
     if (seg.mask >> seg.hop & 1) {
         // Forward-and-deliver: the ramp transfer occupies the receiving
         // PE's work timeline; the chunk has landed when both the ramp
-        // and the stream tail are done.
+        // and the stream tail are done. The receiver is called now, at
+        // head arrival, with that landing cycle.
         Cycles rampStart = router.reserveWork(headAt, m);
         Cycles landed = std::max(rampStart + m, headAt + m);
-        StreamDelivery record{seg.x, seg.y, seg.hop, landed, seg.payload,
-                              seg.tag};
-        auto deliverAtLanding = [deliver = seg.deliver,
-                                 record = std::move(record)] {
-            (*deliver)(record);
-        };
-        router.shard().push(router.id(), landed,
-                            std::move(deliverAtLanding));
+        (*seg.deliver)(StreamDelivery{seg.x, seg.y, seg.hop, landed,
+                                      seg.payload, seg.tag});
     }
 
     if (seg.hop < seg.maxDist)
@@ -296,10 +291,12 @@ Fabric::forward(Segment &seg, Pe &router, Cycles headAt, Cycles m)
     Cycles headArrives = linkStart + p.hopCycles + linkExtra(li, linkStart);
     router.shardStats().waveletsSent += m;
 
-    Segment next = seg; // copies the payload/deliver references
+    // The arriving segment dies with this event: hand its payload and
+    // callback references on without touching their counts.
+    Segment next = std::move(seg);
     next.x = static_cast<int16_t>(nx);
     next.y = static_cast<int16_t>(ny);
-    next.hop = static_cast<uint8_t>(seg.hop + 1);
+    next.hop = static_cast<uint8_t>(next.hop + 1);
     sim_.scheduleOnPe(sim_.peIndex(nx, ny), headArrives, std::move(next),
                       sim_.currentShard());
 }

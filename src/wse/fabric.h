@@ -7,12 +7,16 @@
  * A stream is simulated as a chain of per-hop segment events: the event
  * at router h fires when the stream head arrives there, performs the
  * local ramp delivery (when h is a delivery hop) and reserves the next
- * outgoing link. Because each hop's link and the receiving PE's work
- * timeline belong to that router's own PE, every mutation a segment
- * performs is local to the shard (column strip) executing it, and a
- * segment crossing a strip boundary always lies at least one hop
- * latency in the future — the conservative-window guarantee the sharded
- * simulator relies on.
+ * outgoing link. A delivery is a call inside that event that is told
+ * the cycle the chunk will have landed; the fabric schedules no landing
+ * events, so a stream costs one event per hop, and the receiver
+ * schedules only what must wait for the landing. Each segment moves its
+ * payload and callback references into the next one. Because each
+ * hop's link and the receiving PE's work timeline belong to that
+ * router's own PE, every mutation a segment performs is local to the
+ * shard (column strip) executing it, and a segment crossing a strip
+ * boundary always lies at least one hop latency in the future — the
+ * conservative-window guarantee the sharded simulator relies on.
  *
  * Payloads are carried by reference-counted PayloadRef handles into the
  * sending shard's recycled ring (wse/payload.h): one chunk fanned out in
@@ -49,16 +53,16 @@ const char *directionName(Direction d);
 const std::vector<Direction> &allDirections();
 
 /**
- * Completion record handed to a stream delivery callback. Holds a
- * reference to the payload slot, pinning it until the callback's event
- * is destroyed (or longer, if the callback retains the reference).
+ * Delivery record handed to a stream delivery callback at head
+ * arrival. Holds a reference to the payload slot, pinning it for the
+ * call (or longer, if the callback retains the reference).
  */
 struct StreamDelivery
 {
     int peX = 0;          ///< receiving PE
     int peY = 0;
     int distance = 1;     ///< hops from the sender
-    Cycles completeAt = 0;///< cycle at which the chunk fully landed
+    Cycles completeAt = 0;///< cycle at which the chunk has fully landed
     PayloadRef payload;   ///< the delivered chunk (refcounted)
     uint64_t tag = 0;     ///< the sender's Fabric::sendStream tag
 };
@@ -91,8 +95,12 @@ class Fabric
      * architectures with switchRequiresSelfTransmit the sender receives
      * its own copy, occupying its work timeline like a real reception.
      *
-     * `deliver` runs once per receiving PE at chunk-landed time, after
-     * the receiver's work timeline reservation for the ramp transfer.
+     * `deliver` runs once per receiving PE at head arrival, right after
+     * the receiver's work timeline reservation for the ramp transfer,
+     * inside the event owned by the receiver. StreamDelivery::completeAt
+     * is the landing cycle (> now): the callback may read and keep the
+     * payload at once, but anything the receiver must not observe
+     * before the chunk has landed it schedules itself, at completeAt.
      * It receives `tag` back in StreamDelivery::tag, so one shared
      * callback can serve many streams (StarComm packs chunk and epoch).
      *
@@ -141,9 +149,11 @@ class Fabric
         void operator()() { fab->segmentArrive(*this); }
     };
 
-    /** Runs at head-arrival time on the shard owning router (x, y). */
+    /** Runs at head-arrival time on the shard owning router (x, y):
+     *  delivers (on a delivery hop), then forwards. */
     void segmentArrive(Segment &seg);
-    /** Reserve the next link and schedule the following segment. */
+    /** Reserve the next link and schedule the following segment,
+     *  moving `seg`'s references into it. */
     void forward(Segment &seg, Pe &router, Cycles headAt, Cycles m);
 
     /** Reserve `n` wavelet slots on a link; returns the actual start. */

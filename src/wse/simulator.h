@@ -181,7 +181,7 @@ class EventCallback
 {
   public:
     /** Sized to hold every simulator-internal callback inline (the
-     *  largest is a fabric stream segment / delivery record). */
+     *  largest is a fabric stream segment). */
     static constexpr size_t kInlineSize = 64;
 
     EventCallback() = default;

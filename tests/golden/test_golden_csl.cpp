@@ -8,7 +8,10 @@
  * the files in tests/golden/, locking the byte-exact format that PR 2's
  * single-buffer emitter rewrite preserved; the final simulator cycle of
  * a small compiled run is locked the same way, so an IR or interpreter
- * change that alters behaviour (not just speed) fails here first.
+ * change that alters behaviour (not just speed) fails here first. The
+ * property corpus (tests/property_cases.h) adds a timing table beyond
+ * the five workloads: final cycle, activations, receive callbacks and
+ * step marks per case, at threads 1 and 4.
  *
  * Regenerating after an intentional format change:
  *
@@ -25,6 +28,7 @@
 
 #include "baselines/handwritten_seismic.h"
 #include "codegen/csl_emitter.h"
+#include "property_cases.h"
 #include "support/env.h"
 
 namespace wsc::test {
@@ -95,14 +99,29 @@ class GoldenCslTest : public IrTest
         return codegen::emitCsl(module.get());
     }
 
-    /** Final cycle of a compiled-mode run on an nx x ny fabric. */
-    wse::Cycles
-    simulate(fe::Benchmark &bench, int nx, int ny, int threads = 1)
+    /**
+     * Timing of a compiled-mode run: the final cycle, task activations,
+     * receive callbacks and every PE's step marks summed. Event counts
+     * are left out: they measure the engine, not the timing model.
+     */
+    struct Timing
+    {
+        wse::Cycles cycle = 0;
+        uint64_t activations = 0;
+        uint64_t recvCallbacks = 0;
+        wse::Cycles marks = 0;
+    };
+
+    /** Compile `bench` with `options` and run it on an nx x ny fabric. */
+    Timing
+    simulate(fe::Benchmark &bench, int nx, int ny, int threads = 1,
+             const transforms::PipelineOptions &options = {})
     {
         ir::OwningOp module = bench.program.emit(ctx);
-        transforms::runPipeline(module.get());
-        wse::Simulator sim(wse::ArchParams::wse3(), nx, ny,
-                           wse::SimOptions{threads});
+        transforms::runPipeline(module.get(), options);
+        wse::SimOptions simOptions;
+        simOptions.threads = threads;
+        wse::Simulator sim(wse::ArchParams::wse3(), nx, ny, simOptions);
         interp::CslProgramInstance instance(sim, module.get());
         for (size_t f = 0; f < bench.program.numFields(); ++f) {
             int fi = static_cast<int>(f);
@@ -114,7 +133,33 @@ class GoldenCslTest : public IrTest
         }
         instance.configure();
         instance.launch();
-        return sim.runWithReport(4000000000ULL).finalCycle;
+        Timing t;
+        t.cycle = sim.runWithReport(4000000000ULL).finalCycle;
+        t.activations = sim.stats().taskActivations;
+        for (const auto &site : instance.commSites())
+            t.recvCallbacks += site->stats().recvCallbacks;
+        for (int x = 0; x < nx; ++x)
+            for (int y = 0; y < ny; ++y)
+                for (wse::Cycles c : instance.stepMarks(x, y))
+                    t.marks += c;
+        return t;
+    }
+
+    /** The property corpus's timing table, one line per case. */
+    std::string
+    propertyTimingTable(int threads)
+    {
+        std::ostringstream os;
+        for (const PropertyCase &pc : propertyCases()) {
+            fe::Benchmark bench = makePropertyBenchmark(pc);
+            transforms::PipelineOptions options;
+            options.forceNumChunks = pc.forceChunks;
+            Timing t = simulate(bench, pc.nx, pc.ny, threads, options);
+            os << propertyCaseName(pc) << ": cycle " << t.cycle
+               << " activations " << t.activations << " recv_callbacks "
+               << t.recvCallbacks << " marks " << t.marks << "\n";
+        }
+        return os.str();
     }
 };
 
@@ -166,11 +211,11 @@ TEST_F(GoldenCslTest, SimulatedCycleCounts)
     fe::Benchmark seismic = fe::makeSeismic(8, 8, 3, 20);
     fe::Benchmark uvkbe = fe::makeUvkbe(8, 8, 24);
     std::ostringstream os;
-    os << "jacobian_7x7x4: " << simulate(jacobian, 7, 7) << "\n"
-       << "diffusion_7x7x4: " << simulate(diffusion, 7, 7) << "\n"
-       << "acoustic_8x8x3: " << simulate(acoustic, 8, 8) << "\n"
-       << "seismic_8x8x3: " << simulate(seismic, 8, 8) << "\n"
-       << "uvkbe_8x8: " << simulate(uvkbe, 8, 8) << "\n";
+    os << "jacobian_7x7x4: " << simulate(jacobian, 7, 7).cycle << "\n"
+       << "diffusion_7x7x4: " << simulate(diffusion, 7, 7).cycle << "\n"
+       << "acoustic_8x8x3: " << simulate(acoustic, 8, 8).cycle << "\n"
+       << "seismic_8x8x3: " << simulate(seismic, 8, 8).cycle << "\n"
+       << "uvkbe_8x8: " << simulate(uvkbe, 8, 8).cycle << "\n";
     checkGolden("cycle_counts.txt", os.str());
 }
 
@@ -184,14 +229,27 @@ TEST_F(GoldenCslTest, SimulatedCycleCountsShardedMatch)
     fe::Benchmark seismic = fe::makeSeismic(8, 8, 3, 20);
     fe::Benchmark uvkbe = fe::makeUvkbe(8, 8, 24);
     std::ostringstream os;
-    os << "jacobian_7x7x4: " << simulate(jacobian, 7, 7, 4) << "\n"
-       << "diffusion_7x7x4: " << simulate(diffusion, 7, 7, 4) << "\n"
-       << "acoustic_8x8x3: " << simulate(acoustic, 8, 8, 4) << "\n"
-       << "seismic_8x8x3: " << simulate(seismic, 8, 8, 4) << "\n"
-       << "uvkbe_8x8: " << simulate(uvkbe, 8, 8, 4) << "\n";
+    os << "jacobian_7x7x4: " << simulate(jacobian, 7, 7, 4).cycle << "\n"
+       << "diffusion_7x7x4: " << simulate(diffusion, 7, 7, 4).cycle << "\n"
+       << "acoustic_8x8x3: " << simulate(acoustic, 8, 8, 4).cycle << "\n"
+       << "seismic_8x8x3: " << simulate(seismic, 8, 8, 4).cycle << "\n"
+       << "uvkbe_8x8: " << simulate(uvkbe, 8, 8, 4).cycle << "\n";
     if (updateRequested())
         return; // cycle_counts.txt is written by the threads=1 lock.
     checkGolden("cycle_counts.txt", os.str());
+}
+
+TEST_F(GoldenCslTest, PropertyTimingTable)
+{
+    checkGolden("property_timing.txt", propertyTimingTable(1));
+}
+
+TEST_F(GoldenCslTest, PropertyTimingTableShardedMatch)
+{
+    std::string table = propertyTimingTable(4);
+    if (updateRequested())
+        return; // property_timing.txt is written by the threads=1 lock.
+    checkGolden("property_timing.txt", table);
 }
 
 TEST_F(GoldenCslTest, HandwrittenSeismicPerSectionLock)

@@ -506,6 +506,68 @@ TEST(FaultDegrade, PerSectionDropLinkZeroFillsMissingSection)
     }
 }
 
+TEST(FaultDegrade, InFlightSectionReadsAsDelivered)
+{
+    // A slow link holds the east section of PE (1, 0)'s only chunk back
+    // by 400 cycles. Its head arrives at 424 and it lands at 680, after
+    // its 256-wavelet ramp transfer. The watchdog (80 cycles, two
+    // doubling retries) degrades the exchange at 575, in between. The
+    // receive task cannot start before that transfer ends on the PE's
+    // one work timeline, so the pop reads the section, not zeros.
+    wse::SimOptions options;
+    options.faults.degradeLink(2, 0, wse::Direction::West, 0,
+                               /*extraHopCycles=*/400);
+    options.exchangeTimeoutCycles = 80;
+    wse::Simulator sim(wse::ArchParams::wse3(), 3, 1, options);
+
+    const int64_t z = 256;
+    comms::StarCommConfig config;
+    config.accesses = comms::canonicalAccessOrder({{1, 0}, {-1, 0}});
+    config.zSize = z;
+    comms::StarComm comm(sim, config);
+
+    auto stamp = [](int x, int64_t k) {
+        return static_cast<float>(1000 * x + k + 1);
+    };
+    std::vector<float> popped;
+    for (int x = 0; x < 3; ++x) {
+        wse::Pe &pe = sim.pe(x, 0);
+        std::vector<float> &send =
+            pe.allocBuffer("send", static_cast<size_t>(z));
+        for (int64_t k = 0; k < z; ++k)
+            send[static_cast<size_t>(k)] = stamp(x, k);
+        pe.registerTask("driver", [&comm](wse::TaskContext &ctx) {
+            comm.exchange(ctx, "send", "recv", "done");
+        });
+        pe.registerTask("recv", [&](wse::TaskContext &ctx) {
+            comm.popCompletedChunkOffset(ctx.pe());
+            popped = ctx.pe().buffer("recv_buffer");
+        });
+        pe.registerTask("done", [](wse::TaskContext &) {});
+    }
+    comm.setup();
+    for (int x = 0; x < 3; ++x)
+        sim.pe(x, 0).activate("driver", 0);
+
+    const wse::SimReport &rep = sim.runWithReport(4000000000ULL);
+    EXPECT_EQ(rep.outcome, wse::SimOutcome::Degraded);
+    EXPECT_EQ(rep.stats.exchangeTimeouts, 3u);
+    EXPECT_EQ(rep.stats.exchangesDegraded, 1u);
+    EXPECT_EQ(rep.degradedPes, (std::vector<uint32_t>{sim.peIndex(1, 0)}));
+
+    ASSERT_EQ(popped.size(), static_cast<size_t>(2 * z));
+    for (int64_t s = 0; s < 2; ++s) {
+        int source = 1 + config.accesses[static_cast<size_t>(s)].dx;
+        std::vector<float> want(static_cast<size_t>(z));
+        for (int64_t k = 0; k < z; ++k)
+            want[static_cast<size_t>(k)] = stamp(source, k);
+        EXPECT_EQ(std::vector<float>(popped.begin() + s * z,
+                                     popped.begin() + (s + 1) * z),
+                  want)
+            << "section " << s;
+    }
+}
+
 //===----------------------------------------------------------------------===
 // Sharded worker error path (regression: no std::terminate, no hang)
 //===----------------------------------------------------------------------===

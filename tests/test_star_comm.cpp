@@ -30,9 +30,10 @@ class StarCommTest : public ::testing::Test
   protected:
     void
     build(int w, int h, StarCommConfig config,
-          ArchParams params = ArchParams::wse3())
+          ArchParams params = ArchParams::wse3(),
+          wse::SimOptions options = {})
     {
-        sim = std::make_unique<wse::Simulator>(params, w, h);
+        sim = std::make_unique<wse::Simulator>(params, w, h, options);
         comm = std::make_unique<StarComm>(*sim, config);
         for (int x = 0; x < w; ++x) {
             for (int y = 0; y < h; ++y) {
@@ -251,6 +252,41 @@ TEST_F(StarCommTest, BackToBackExchangesKeepEpochsSeparate)
     sim->runWithReport();
     EXPECT_EQ((doneCount[{1, 1}]), 1 + 10);
     EXPECT_EQ((recvCount[{1, 1}]), 2);
+}
+
+TEST_F(StarCommTest, DrainLeavesUnlandedUnitToItsLandingEvent)
+{
+    // The receiver (1, 0) is busy for 1000 cycles, so the ramp transfers
+    // of both sections queue behind that work: the heads arrive within
+    // tens of cycles, the first section lands at act + 1200 and the
+    // last at act + 1400. The exchange starts in between, at act + 1285.
+    // The drain must leave the unit to the last section's landing event,
+    // whose receive activation is ready at that landing cycle.
+    StarCommConfig config;
+    config.accesses = comms::canonicalAccessOrder({{1, 0}, {-1, 0}});
+    config.zSize = 200;
+    const wse::Cycles act = ArchParams::wse3().taskActivateCycles;
+    const wse::Cycles exchangeAt = act + 1285;
+    wse::SimOptions options;
+    // Halt the receiver right after its exchange task dispatched, so
+    // the receive activation stays queued where it can be read.
+    options.faults.haltPe(1, 0, exchangeAt + 1);
+    build(3, 1, config, ArchParams::wse3(), options);
+    wse::Pe &receiver = sim->pe(1, 0);
+    receiver.registerTask("busy",
+                          [](wse::TaskContext &ctx) { ctx.consume(1000); });
+    receiver.activate("busy", 0);
+    receiver.activate("driver", exchangeAt);
+    sim->pe(0, 0).activate("driver", 0);
+    sim->pe(2, 0).activate("driver", 0);
+    sim->runWithReport();
+
+    const wse::Cycles lastLanded = act + 1000 + 2 * 200;
+    auto pending = receiver.pendingActivations();
+    ASSERT_FALSE(pending.empty());
+    EXPECT_EQ(pending[0].first, receiver.taskId("recv").index);
+    EXPECT_EQ(pending[0].second, lastLanded);
+    EXPECT_EQ(comm->stats().recvCallbacks, 1u);
 }
 
 TEST_F(StarCommTest, OverlappingExchangeOnSameSiteIsRejected)
