@@ -30,6 +30,7 @@ HandwrittenSeismic::HandwrittenSeismic(wse::Simulator &sim,
 {
     states_.resize(static_cast<size_t>(sim.width()) * sim.height());
     stepMarks_.resize(states_.size());
+    recvReadyMarks_.resize(states_.size());
 
     comms::StarCommConfig comm;
     comm.accesses = seismicAccesses();
@@ -126,6 +127,8 @@ HandwrittenSeismic::registerTasks(int x, int y)
     // traffic of the generated code's per-chunk callback.
     registeredState.recvTask = pe.registerTask(
         "recv_dir", [this, x, y, chunk, sc](wse::TaskContext &ctx) {
+            recvReadyMarks_[static_cast<size_t>(x) * sim_.height() + y]
+                .push_back(ctx.readyCycle());
             wse::Pe &pe = ctx.pe();
             PeState &st = state(x, y);
             auto [section, offset] = comm_->popCompletedSection(pe);
@@ -224,6 +227,12 @@ const std::vector<wse::Cycles> &
 HandwrittenSeismic::stepMarks(int x, int y) const
 {
     return stepMarks_[static_cast<size_t>(x) * sim_.height() + y];
+}
+
+const std::vector<wse::Cycles> &
+HandwrittenSeismic::recvReadyMarks(int x, int y) const
+{
+    return recvReadyMarks_[static_cast<size_t>(x) * sim_.height() + y];
 }
 
 } // namespace wsc::baselines

@@ -55,6 +55,11 @@ class HandwrittenSeismic
     /** for_cond dispatch markers on a PE (per-step timing). */
     const std::vector<wse::Cycles> &stepMarks(int x, int y) const;
 
+    /** Ready cycles of a PE's receive activations: the landing cycle of
+     *  each section (per-section timing, which the dispatch markers
+     *  absorb while the PE is busy). */
+    const std::vector<wse::Cycles> &recvReadyMarks(int x, int y) const;
+
     const comms::StarComm &comm() const { return *comm_; }
 
   private:
@@ -85,6 +90,7 @@ class HandwrittenSeismic
     std::function<float(int, int, int, int)> init_;
     std::vector<PeState> states_;
     std::vector<std::vector<wse::Cycles>> stepMarks_;
+    std::vector<std::vector<wse::Cycles>> recvReadyMarks_;
 };
 
 } // namespace wsc::baselines

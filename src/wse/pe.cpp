@@ -222,7 +222,7 @@ Pe::dispatchPending()
     taskActivations_++;
     shardStats().taskActivations++;
 
-    TaskContext ctx(sim_, *this, start);
+    TaskContext ctx(sim_, *this, readyAt, start);
     dispatching_ = true;
     tasks_[static_cast<size_t>(taskIdx)].fn(ctx);
     dispatching_ = false;

@@ -89,14 +89,17 @@ class PeName
 class TaskContext
 {
   public:
-    TaskContext(Simulator &sim, class Pe &pe, Cycles start)
-        : sim_(sim), pe_(pe), start_(start)
+    TaskContext(Simulator &sim, class Pe &pe, Cycles ready, Cycles start)
+        : sim_(sim), pe_(pe), ready_(ready), start_(start)
     {
     }
 
     Simulator &sim() { return sim_; }
     class Pe &pe() { return pe_; }
 
+    /** The ready cycle the activation named (Pe::activate's readyAt);
+     *  the task starts no earlier, but later when the PE is busy. */
+    Cycles readyCycle() const { return ready_; }
     /** Cycle at which the task began executing. */
     Cycles startCycle() const { return start_; }
     /** Current logical time inside the task (start + consumed). */
@@ -117,6 +120,7 @@ class TaskContext
   private:
     Simulator &sim_;
     class Pe &pe_;
+    Cycles ready_;
     Cycles start_;
     Cycles consumed_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -16,8 +17,12 @@ namespace wsc::wse {
 
 namespace {
 
-/** Initial capacity of each shard's event heap and callback slot pool. */
+/** Initial capacity of each shard's cycle batch and callback slot
+ *  pool. */
 constexpr size_t kInitialQueueCapacity = 1024;
+
+/** A redistributed bucket keeps at most this many keys of capacity. */
+constexpr size_t kBucketKeepCapacity = 2048;
 
 /** Execution context of the current thread (nested runs unsupported). */
 struct TlsContext
@@ -46,36 +51,36 @@ struct TlsGuard
 Shard::Shard(Simulator &sim, int index)
     : sim_(&sim), index_(index), currentOwner_(sim.hostId())
 {
-    heap_.reserve(kInitialQueueCapacity);
+    batch_.reserve(kInitialQueueCapacity);
     slots_.reserve(kInitialQueueCapacity);
     freeSlots_.reserve(kInitialQueueCapacity);
 }
 
-// A 4-ary min-heap: half the depth of a binary heap, and the four
-// children a sift-down compares are adjacent in memory. Keys are unique
-// (each creator draws seq from one shard's monotone counter), so the pop
-// order is exactly the total order before().
+// late_ is a 4-ary min-heap: half the depth of a binary heap, and the
+// four children a sift-down compares are adjacent in memory. Keys are
+// unique (each creator draws seq from one shard's monotone counter), so
+// the pop order is exactly the total order before().
 constexpr size_t kHeapArity = 4;
 
 void
 Shard::siftUp(size_t i)
 {
-    EventKey key = heap_[i];
+    EventKey key = late_[i];
     while (i > 0) {
         size_t parent = (i - 1) / kHeapArity;
-        if (!before(key, heap_[parent]))
+        if (!before(key, late_[parent]))
             break;
-        heap_[i] = heap_[parent];
+        late_[i] = late_[parent];
         i = parent;
     }
-    heap_[i] = key;
+    late_[i] = key;
 }
 
 void
 Shard::siftDown(size_t i)
 {
-    const size_t n = heap_.size();
-    EventKey key = heap_[i];
+    const size_t n = late_.size();
+    EventKey key = late_[i];
     for (;;) {
         size_t first = kHeapArity * i + 1;
         if (first >= n)
@@ -83,14 +88,14 @@ Shard::siftDown(size_t i)
         size_t child = first;
         size_t last = std::min(first + kHeapArity, n);
         for (size_t c = first + 1; c < last; ++c)
-            if (before(heap_[c], heap_[child]))
+            if (before(late_[c], late_[child]))
                 child = c;
-        if (!before(heap_[child], key))
+        if (!before(late_[child], key))
             break;
-        heap_[i] = heap_[child];
+        late_[i] = late_[child];
         i = child;
     }
-    heap_[i] = key;
+    late_[i] = key;
 }
 
 void
@@ -108,8 +113,88 @@ Shard::pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
         slot = static_cast<uint32_t>(slots_.size());
         slots_.push_back(std::move(fn));
     }
-    heap_.push_back(EventKey{at, ownerCreator, seq, slot});
-    siftUp(heap_.size() - 1);
+    const EventKey key{at, ownerCreator, seq, slot};
+    // now_ >= base_, so a key is never below the draining cycle.
+    if (at == base_) {
+        late_.push_back(key);
+        siftUp(late_.size() - 1);
+    } else {
+        pushLater(key);
+    }
+}
+
+void
+Shard::pushLater(const EventKey &key)
+{
+    const int b = std::bit_width(key.at ^ base_) - 1;
+    buckets_[static_cast<size_t>(b)].push_back(key);
+    nonEmpty_ |= uint64_t{1} << b;
+}
+
+Cycles
+Shard::minAt() const
+{
+    if (!batch_.empty() || !late_.empty())
+        return base_;
+    // Every key of a lower bucket is below every key of a higher one.
+    const auto &bucket =
+        buckets_[static_cast<size_t>(std::countr_zero(nonEmpty_))];
+    Cycles m = bucket.front().at;
+    for (const EventKey &key : bucket)
+        m = std::min(m, key.at);
+    return m;
+}
+
+bool
+Shard::advance(Cycles end)
+{
+    if (nonEmpty_ == 0)
+        return false;
+    const Cycles m = minAt();
+    if (m >= end)
+        return false;
+    // Bucket b's keys agree with m above bit b, so each one that is not
+    // at m moves to a lower bucket; the higher buckets stay as they are.
+    const int b = std::countr_zero(nonEmpty_);
+    std::vector<EventKey> &bucket = buckets_[static_cast<size_t>(b)];
+    base_ = m;
+    nonEmpty_ &= ~(uint64_t{1} << b);
+    for (const EventKey &key : bucket) {
+        if (key.at == m)
+            batch_.push_back(key);
+        else
+            pushLater(key);
+    }
+    // A bucket that held a dense horizon shrinks back to the kept
+    // capacity rather than pinning its high-water mark for the run.
+    bucket.clear();
+    if (bucket.capacity() > kBucketKeepCapacity) {
+        std::vector<EventKey> kept;
+        kept.reserve(kBucketKeepCapacity);
+        bucket.swap(kept);
+    }
+    std::sort(batch_.begin(), batch_.end(),
+              [](const EventKey &x, const EventKey &y) {
+                  return before(y, x);
+              });
+    return true;
+}
+
+Shard::EventKey
+Shard::popDraining()
+{
+    if (!late_.empty() &&
+        (batch_.empty() || before(late_.front(), batch_.back()))) {
+        EventKey top = late_.front();
+        late_.front() = late_.back();
+        late_.pop_back();
+        if (!late_.empty())
+            siftDown(0);
+        return top;
+    }
+    EventKey top = batch_.back();
+    batch_.pop_back();
+    return top;
 }
 
 void
@@ -122,7 +207,7 @@ Shard::push(uint32_t owner, Cycles at, EventCallback fn)
 void
 Shard::runWindow(Cycles end, uint64_t maxEvents)
 {
-    while (!heap_.empty() && heap_.front().at < end) {
+    for (;;) {
         // Same-cycle livelocks never return to the barrier where the
         // global budget is summed, so each shard also bounds its own
         // count, checked before every event. Stop with the events in
@@ -130,11 +215,13 @@ Shard::runWindow(Cycles end, uint64_t maxEvents)
         // diagnosis reads the queues as they stand.
         if (processed_ >= maxEvents)
             break;
-        EventKey top = heap_.front();
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0);
+        if (batch_.empty() && late_.empty()) {
+            if (!advance(end))
+                break;
+        } else if (base_ >= end) {
+            break;
+        }
+        EventKey top = popDraining();
         now_ = top.at;
         currentOwner_ = static_cast<uint32_t>(top.ownerCreator >> 32);
         stats_.eventsProcessed++;
@@ -220,7 +307,10 @@ Simulator::~Simulator()
     // (cross-shard segments, stashed deliveries): drop every queued
     // callback while all pools are still alive.
     for (auto &shard : shards_) {
-        shard->heap_.clear();
+        shard->batch_.clear();
+        shard->late_.clear();
+        for (auto &bucket : shard->buckets_)
+            bucket.clear();
         shard->slots_.clear();
         shard->freeSlots_.clear();
         for (auto &lane : shard->outbox_)
@@ -401,9 +491,9 @@ Simulator::runWindows(uint64_t maxEvents)
             bool any = false;
             Cycles minAt = 0;
             for (auto &shard : shards_) {
-                if (shard->heap_.empty())
+                if (shard->queueEmpty())
                     continue;
-                Cycles at = shard->heap_.front().at;
+                Cycles at = shard->minAt();
                 minAt = any ? std::min(minAt, at) : at;
                 any = true;
             }
@@ -427,7 +517,7 @@ Simulator::runWindows(uint64_t maxEvents)
             ctl.windowEnd = end;
             windowCount_++;
             for (auto &shard : shards_)
-                if (!shard->heap_.empty() && shard->heap_.front().at < end)
+                if (!shard->queueEmpty() && shard->minAt() < end)
                     shardWindowsRun_++;
         } catch (...) {
             {
@@ -533,8 +623,8 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
         d.eventsProcessed += shard->processed_;
         ShardQueueInfo q;
         q.shard = shard->index();
-        q.depth = shard->heap_.size();
-        q.nextAt = q.depth > 0 ? shard->heap_.front().at : 0;
+        shard->forEachQueued([&q](const Shard::EventKey &) { q.depth++; });
+        q.nextAt = q.depth > 0 ? shard->minAt() : 0;
         for (const auto &lane : shard->outbox_)
             q.outboxPending += lane.size();
         d.queues.push_back(q);
@@ -561,8 +651,9 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
     // Busiest PEs by events still owned in the queues/outboxes.
     std::unordered_map<uint32_t, size_t> ownerCounts;
     for (const auto &shard : shards_) {
-        for (const Shard::EventKey &key : shard->heap_)
+        shard->forEachQueued([&ownerCounts](const Shard::EventKey &key) {
             ownerCounts[static_cast<uint32_t>(key.ownerCreator >> 32)]++;
+        });
         for (const auto &lane : shard->outbox_)
             for (const Shard::MailEntry &entry : lane)
                 ownerCounts[static_cast<uint32_t>(entry.ownerCreator >>

@@ -5,10 +5,10 @@
  *
  * The PE grid is partitioned into min(SimOptions::threads, width)
  * balanced column strips. PE indices are x-major, so each strip owns
- * one contiguous range of dense PE ids. Each shard owns its own 4-ary
- * min-heap event queue, callback slot pool, payload ring and
- * statistics, so the hot schedule/dispatch paths are entirely
- * shard-local and lock-free.
+ * one contiguous range of dense PE ids. Each shard owns its own radix
+ * event queue (cycle buckets, one sort per simulated cycle), callback
+ * slot pool, payload ring and statistics, so the hot schedule/dispatch
+ * paths are entirely shard-local and lock-free.
  *
  * Every run uses one loop of conservative lock-step windows: every
  * event that crosses a strip boundary (a fabric stream segment handed
@@ -16,7 +16,7 @@
  * so all shards can safely execute the window [globalMin, globalMin +
  * hopCycles) in parallel. A lone shard has no cross-shard events and
  * runs one unbounded window. Cross-shard events travel through
- * per-pair SPSC outboxes that are drained into the target heaps at the
+ * per-pair SPSC outboxes that are drained into the target queues at the
  * window barrier (the barrier itself provides the memory
  * synchronisation, so the mailboxes are plain vectors).
  *
@@ -31,9 +31,9 @@
  * run is cycle-identical and SimStats-identical to the threads=1 run —
  * pinned by the `sharded` test suite and the golden cycle counts.
  *
- * The schedule/run path is allocation-free: an event is a POD key in a
- * pre-sized heap vector, and its callback lives in a small-buffer
- * EventCallback slot recycled through a free list.
+ * The schedule/run path is allocation-free in steady state: an event is
+ * a POD key in a reused queue vector, and its callback lives in a
+ * small-buffer EventCallback slot recycled through a free list.
  *
  * Timing model (docs/architecture.md §3, "Timing model"): each PE has
  * a single work timeline on which task execution, DSD compute and ramp
@@ -45,6 +45,7 @@
 #ifndef WSC_WSE_SIMULATOR_H
 #define WSC_WSE_SIMULATOR_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -324,14 +325,15 @@ class Shard
     friend class Simulator;
 
     /**
-     * Heap entry: POD, so sift operations move 32 bytes, never the
-     * callback. Ordered by (at, owner, creator, seq): owner and creator
-     * are packed into one word (owner in the high half) so the
-     * deterministic tie-break is two integer compares. `seq` is the
+     * Queue entry: POD, so bucket moves, sorts and sifts copy 32 bytes,
+     * never the callback. Ordered by (at, owner, creator, seq): owner
+     * and creator are packed into one word (owner in the high half) so
+     * the deterministic tie-break is two integer compares. `seq` is the
      * creating shard's monotone counter — only compared between events
      * of the same creator, whose creations are totally ordered within
-     * one shard, so the key is independent of the shard count. `slot`
-     * indexes the callback slot pool.
+     * one shard, so the key is independent of the shard count. The
+     * queue's buckets read only `at`; before() orders each cycle.
+     * `slot` indexes the callback slot pool.
      */
     struct EventKey
     {
@@ -368,8 +370,37 @@ class Shard
 
     void pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
                    EventCallback fn);
+    /** Sift within late_, the 4-ary heap of draining-cycle pushes. */
     void siftUp(size_t i);
     void siftDown(size_t i);
+    bool
+    queueEmpty() const
+    {
+        return batch_.empty() && late_.empty() && nonEmpty_ == 0;
+    }
+    /** Smallest queued cycle; the queue must not be empty. */
+    Cycles minAt() const;
+    /** File a key with at > base_ into its bucket. */
+    void pushLater(const EventKey &key);
+    /** Make the next cycle below `end` the draining cycle: false (and
+     *  nothing moved) when no queued key lies below `end`. Requires an
+     *  empty draining cycle. */
+    bool advance(Cycles end);
+    /** Remove and return the least key of the draining cycle. */
+    EventKey popDraining();
+    /** Visit every queued key (diagnosis only). */
+    template <typename F>
+    void
+    forEachQueued(F &&visit) const
+    {
+        for (const EventKey &key : batch_)
+            visit(key);
+        for (const EventKey &key : late_)
+            visit(key);
+        for (const std::vector<EventKey> &bucket : buckets_)
+            for (const EventKey &key : bucket)
+                visit(key);
+    }
     /** Execute events with at < end; returns early (leaving events
      *  queued) once the budget is spent — the caller diagnoses. */
     void runWindow(Cycles end, uint64_t maxEvents);
@@ -385,8 +416,20 @@ class Shard
     /** Owner of the event currently executing (host id when idle);
      *  recorded as the creator of events it schedules. */
     uint32_t currentOwner_;
-    /** 4-ary min-heap on the deterministic key. */
-    std::vector<EventKey> heap_;
+    /**
+     * Radix queue on the deterministic key (docs/architecture.md §4,
+     * "The event queue"). base_ is the draining cycle (<= now_). Its
+     * keys are batch_, sorted descending so the least is at the back,
+     * plus late_, a 4-ary min-heap of keys pushed at base_ after the
+     * batch was formed. A key with at > base_ waits unsorted in
+     * buckets_[bit_width(at ^ base_) - 1]; bit b of nonEmpty_ is set
+     * while buckets_[b] holds keys.
+     */
+    Cycles base_ = 0;
+    std::vector<EventKey> batch_;
+    std::vector<EventKey> late_;
+    std::array<std::vector<EventKey>, 64> buckets_;
+    uint64_t nonEmpty_ = 0;
     /** Callback slot pool; slots are recycled through freeSlots_. */
     std::vector<EventCallback> slots_;
     std::vector<uint32_t> freeSlots_;

@@ -256,7 +256,7 @@ TEST_F(GoldenCslTest, HandwrittenSeismicPerSectionLock)
 {
     // The hand-written comparator is the only workload that runs the
     // exchange in per-section mode (one receive task per landed
-    // section); lock its final cycle and event/comms counts.
+    // section); lock its final cycle, event/comms counts and timing.
     const int N = 10;
     fe::Benchmark bench = fe::makeSeismic(N, N, 4, 24);
     wse::Simulator sim(wse::ArchParams::wse2(), N, N);
@@ -284,6 +284,15 @@ TEST_F(GoldenCslTest, HandwrittenSeismicPerSectionLock)
             for (wse::Cycles c : hw.stepMarks(x, y))
                 marks += c;
     EXPECT_EQ(marks, 198424u);
+    // Every receive activation's ready cycle (its section's landing
+    // cycle), summed: a landing shift the busy PE absorbs before
+    // dispatch still moves it.
+    wse::Cycles landings = 0;
+    for (int x = 0; x < N; ++x)
+        for (int y = 0; y < N; ++y)
+            for (wse::Cycles c : hw.recvReadyMarks(x, y))
+                landings += c;
+    EXPECT_EQ(landings, 1847296u);
 }
 
 } // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <random>
+#include <set>
 
 #include "support/error.h"
 #include "wse/simulator.h"
@@ -91,6 +94,229 @@ TEST(SimulatorTest, QueueRunsInCycleThenCreationOrder)
                                      return !(x < y);
                                  }),
               ran.end());
+}
+
+/**
+ * Drives PE-owned events through the queue while a model keeps the set
+ * of queued keys in the queue's total order (cycle, owner, creator,
+ * creation index); the index stands in for the per-creator sequence.
+ * With one shard every executed event must be the model's least key.
+ * Children are derived from a hash of their parent's key, so the event
+ * tree is the same at any thread count.
+ */
+class QueueModel
+{
+  public:
+    struct Key
+    {
+        Cycles at;
+        uint32_t owner;
+        uint32_t creator;
+        uint64_t index;
+        auto operator<=>(const Key &) const = default;
+    };
+
+    static constexpr int kWidth = 8;
+    static constexpr int kHeight = 2;
+
+    explicit QueueModel(int threads)
+        : sim_(ArchParams::wse3(), kWidth, kHeight,
+               wse::SimOptions{.threads = threads}),
+          checkOrder_(sim_.shardCount() == 1),
+          created_(sim_.hostId() + 1), ran_(sim_.hostId() + 1),
+          hop_(std::max<Cycles>(1, sim_.params().hopCycles))
+    {
+    }
+
+    Simulator &sim() { return sim_; }
+    uint32_t host() const { return sim_.hostId(); }
+    const std::set<Key> &queued() const { return queued_; }
+    uint64_t misorders() const { return misorders_; }
+    /** Executed keys, per owner (host last). */
+    const std::vector<std::vector<Key>> &ran() const { return ran_; }
+
+    /** Schedule from the host: a PE-owned event that spawns `depth`
+     *  generations, or a host-owned leaf. */
+    void
+    seed(uint32_t owner, Cycles at, int depth)
+    {
+        add(host(), owner, at, owner == host() ? 0 : depth);
+    }
+
+  private:
+    void
+    add(uint32_t creator, uint32_t owner, Cycles at, int depth)
+    {
+        const Key key{at, owner, creator, created_[creator]++};
+        if (checkOrder_)
+            queued_.insert(key);
+        sim_.scheduleOnPe(
+            owner, at, [this, key, depth] { run(key, depth); },
+            sim_.currentShard());
+    }
+
+    /** Column strips of a threads=4 run on kWidth columns are column
+     *  pairs; events inside a pair may be scheduled at the current
+     *  cycle at any thread count. */
+    static uint32_t
+    pairBase(uint32_t pe)
+    {
+        return pe / (2 * kHeight) * (2 * kHeight);
+    }
+
+    void
+    run(const Key &key, int depth)
+    {
+        EXPECT_EQ(sim_.now(), key.at);
+        if (checkOrder_) {
+            if (queued_.empty() || *queued_.begin() != key)
+                misorders_++;
+            queued_.erase(key);
+        }
+        ran_[key.owner].push_back(key);
+        if (depth == 0)
+            return;
+        uint64_t h = key.at * 0x9e3779b97f4a7c15ULL ^
+                     (uint64_t{key.owner} << 40) ^
+                     (uint64_t{key.creator} << 20) ^ key.index;
+        auto next = [&h] {
+            h ^= h >> 31;
+            h *= 0xbf58476d1ce4e5b9ULL;
+            h ^= h >> 29;
+            return h;
+        };
+        const uint32_t pes = host();
+        const uint32_t pair = 2 * kHeight;
+        // The draining cycle, inside the owner's strip: the new owner is
+        // often below the running one, so its key sorts before the rest
+        // of the cycle's batch.
+        if (next() % 3 != 0)
+            add(key.owner, pairBase(key.owner) + next() % pair, key.at,
+                depth - 1);
+        // Later in the strip, across power-of-two boundaries of the
+        // cycle and into the far future.
+        Cycles pow2 = std::bit_ceil(key.at + 1);
+        const Cycles later[] = {1,
+                                2,
+                                3,
+                                pow2 - key.at - 1,
+                                pow2 - key.at,
+                                pow2 - key.at + 1,
+                                2 * pow2 - key.at,
+                                (Cycles{1} << 32) + next() % 3};
+        Cycles delta = later[next() % std::size(later)];
+        add(key.owner, pairBase(key.owner) + next() % pair,
+            key.at + std::max<Cycles>(delta, 1), depth - 1);
+        // Across strips, no earlier than one hop.
+        uint32_t other =
+            (pairBase(key.owner) + pair * (1 + next() % (kWidth / 2 - 1)) +
+             next() % pair) % pes;
+        add(key.owner, other, key.at + hop_ + later[next() % 3],
+            depth - 1);
+    }
+
+    Simulator sim_;
+    bool checkOrder_;
+    std::set<Key> queued_;
+    uint64_t misorders_ = 0;
+    /** Creations per creator (written only on the creator's shard). */
+    std::vector<uint64_t> created_;
+    std::vector<std::vector<Key>> ran_;
+    Cycles hop_;
+};
+
+/** Seeds every PE and the host around the power-of-two boundaries and
+ *  the 2^k-aligned boundaries above `from`, with a few far-future
+ *  (>= 2^32) keys. */
+void
+seedAcrossBoundaries(QueueModel &m, Cycles from, uint64_t salt)
+{
+    std::mt19937_64 rng(salt);
+    const uint32_t owners = m.host() + 1;
+    for (int k = 0; k < 44; ++k) {
+        const Cycles pow2 = Cycles{1} << k;
+        const Cycles aligned = (from | (pow2 - 1)) + 1;
+        for (Cycles at : {pow2 - 1, pow2, pow2 + 1, aligned - 1, aligned,
+                          aligned + 1})
+            if (at >= from)
+                m.seed(static_cast<uint32_t>(rng() % owners), at, 3);
+    }
+    for (int i = 0; i < 64; ++i)
+        m.seed(static_cast<uint32_t>(rng() % owners), from + rng() % 300,
+               3);
+    for (Cycles far : {Cycles{1} << 32, (Cycles{1} << 32) + 1,
+                       Cycles{1} << 40})
+        m.seed(static_cast<uint32_t>(rng() % owners), std::max(far, from),
+               2);
+}
+
+TEST(SimulatorTest, QueuePopsTheLeastKeyAcrossCycleBoundariesAndRuns)
+{
+    QueueModel seq(1);
+    QueueModel par(4);
+    ASSERT_EQ(par.sim().shardCount(), 4);
+
+    // Run 1: seeded from the host at cycle 0, run to completion.
+    seedAcrossBoundaries(seq, 0, 7);
+    seedAcrossBoundaries(par, 0, 7);
+    EXPECT_EQ(seq.sim().runWithReport().outcome,
+              wse::SimOutcome::Completed);
+    EXPECT_EQ(par.sim().runWithReport().outcome,
+              wse::SimOutcome::Completed);
+    ASSERT_EQ(seq.sim().now(), par.sim().now());
+    EXPECT_TRUE(seq.queued().empty());
+
+    // Run 2: scheduled between runs, from the current cycle on. The
+    // sequential run stops on its event budget first; the diagnosis
+    // must count every queued key, and the next run resumes in order.
+    const Cycles resume = seq.sim().now();
+    seedAcrossBoundaries(seq, resume, 8);
+    seedAcrossBoundaries(par, resume, 8);
+    const uint64_t done = seq.sim().stats().eventsProcessed;
+    const wse::SimReport stopped = seq.sim().runWithReport(700);
+    ASSERT_EQ(stopped.outcome, wse::SimOutcome::EventBudgetExceeded);
+    ASSERT_EQ(stopped.diagnosis.queues.size(), 1u);
+    const wse::ShardQueueInfo &q = stopped.diagnosis.queues[0];
+    EXPECT_EQ(seq.sim().stats().eventsProcessed - done, 700u);
+    EXPECT_EQ(q.depth, seq.queued().size());
+    ASSERT_FALSE(seq.queued().empty());
+    EXPECT_EQ(q.nextAt, seq.queued().begin()->at);
+    std::map<uint32_t, size_t> perOwner;
+    for (const QueueModel::Key &key : seq.queued())
+        if (key.owner != seq.host())
+            perOwner[key.owner]++;
+    ASSERT_FALSE(stopped.diagnosis.busiestPes.empty());
+    size_t busiest = 0;
+    for (const auto &[owner, count] : perOwner)
+        busiest = std::max(busiest, count);
+    EXPECT_EQ(stopped.diagnosis.busiestPes[0].queuedEvents, busiest);
+    EXPECT_EQ(seq.sim().runWithReport().outcome,
+              wse::SimOutcome::Completed);
+    EXPECT_EQ(par.sim().runWithReport().outcome,
+              wse::SimOutcome::Completed);
+    EXPECT_EQ(seq.sim().now(), par.sim().now());
+    EXPECT_TRUE(seq.queued().empty());
+    EXPECT_EQ(seq.misorders(), 0u);
+    EXPECT_GT(seq.sim().now(), Cycles{1} << 40);
+
+    // Every owner ran the same keys in the same order on four shards,
+    // cross-strip events included.
+    EXPECT_EQ(seq.ran(), par.ran());
+    EXPECT_EQ(seq.sim().stats(), par.sim().stats());
+
+    // Run 3: a budget stop, then host pushes into the draining cycle
+    // and beyond it before the run resumes.
+    seedAcrossBoundaries(seq, seq.sim().now(), 9);
+    ASSERT_EQ(seq.sim().runWithReport(300).outcome,
+              wse::SimOutcome::EventBudgetExceeded);
+    const Cycles now = seq.sim().now();
+    for (uint32_t pe = 0; pe < seq.host(); pe += 3)
+        for (Cycles d : {Cycles{0}, Cycles{1}, Cycles{64}})
+            seq.seed(pe, now + d, 1);
+    EXPECT_EQ(seq.sim().runWithReport().outcome,
+              wse::SimOutcome::Completed);
+    EXPECT_TRUE(seq.queued().empty());
+    EXPECT_EQ(seq.misorders(), 0u);
 }
 
 TEST(SimulatorTest, SchedulingIntoThePastPanics)
