@@ -4,6 +4,7 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <memory>
@@ -18,6 +19,24 @@
 using namespace wsc;
 
 namespace {
+
+/** Minor page faults of this process so far (all threads). */
+double
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_minflt);
+}
+
+/** The per-iteration mean of a minor-fault delta, as the minflt
+ *  counter. */
+void
+setMinorFaults(benchmark::State &state, double faults)
+{
+    state.counters["minflt"] =
+        benchmark::Counter(faults, benchmark::Counter::kAvgIterations);
+}
 
 void
 BM_FrontendEmit(benchmark::State &state)
@@ -96,7 +115,7 @@ BM_SchedulerThroughput(benchmark::State &state)
 {
     // Raw event-queue throughput: schedule and run N no-op events per
     // iteration. The schedule path must not allocate for inline-sized
-    // callbacks, so this measures heap-sift plus dispatch cost only.
+    // callbacks, so this measures queue plus dispatch cost only.
     const int64_t n = state.range(0);
     wse::Simulator sim(wse::ArchParams::wse3(), 1, 1);
     uint64_t sink = 0;
@@ -170,6 +189,9 @@ BM_ShardedTimestep2D(benchmark::State &state)
     transforms::runPipeline(module.get());
     uint64_t windows = 0;
     double setupMs = 0.0;
+    // Every iteration, set-up and teardown included: a heap that is
+    // trimmed and regrown per job shows up here, not in the timing.
+    const double faults = minorFaults();
     for (auto _ : state) {
         state.PauseTiming();
         Clock::time_point start = Clock::now();
@@ -203,6 +225,7 @@ BM_ShardedTimestep2D(benchmark::State &state)
     state.counters["windows"] = static_cast<double>(windows);
     state.counters["setup_ms"] =
         benchmark::Counter(setupMs, benchmark::Counter::kAvgIterations);
+    setMinorFaults(state, minorFaults() - faults);
 }
 BENCHMARK(BM_ShardedTimestep2D)
     ->Arg(1) // sequential baseline
@@ -252,6 +275,7 @@ BM_SimulatedTimestep(benchmark::State &state)
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
+    const double faults = minorFaults();
     for (auto _ : state) {
         wse::Simulator sim(wse::ArchParams::wse3(), 7, 7);
         interp::CslProgramInstance instance(sim, module.get());
@@ -265,6 +289,7 @@ BM_SimulatedTimestep(benchmark::State &state)
         benchmark::DoNotOptimize(sim.now());
     }
     state.counters["steps"] = 64;
+    setMinorFaults(state, minorFaults() - faults);
 }
 BENCHMARK(BM_SimulatedTimestep)->Unit(benchmark::kMillisecond);
 

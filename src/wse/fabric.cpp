@@ -71,12 +71,6 @@ Fabric::reserveLink(int x, int y, Direction dir, Cycles from, Cycles n)
     return start;
 }
 
-Cycles
-Fabric::linkFree(int x, int y, Direction dir) const
-{
-    return linkFree_[linkIndex(x, y, dir)];
-}
-
 void
 Fabric::applyFaultPlan(const FaultPlan &plan)
 {

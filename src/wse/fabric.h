@@ -117,9 +117,6 @@ class Fabric
      */
     Cycles switchReconfig(int x, int y, Direction dir, Cycles notBefore);
 
-    /** Next free cycle of the outgoing link at (x, y) towards dir. */
-    Cycles linkFree(int x, int y, Direction dir) const;
-
     /**
      * Install the fault plan's link failure/degradation tables and
      * per-link payload fault schedules (called once by the Simulator

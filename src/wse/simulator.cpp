@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <bit>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -17,12 +16,8 @@ namespace wsc::wse {
 
 namespace {
 
-/** Initial capacity of each shard's cycle batch and callback slot
- *  pool. */
+/** Initial capacity of each shard's cycle batch and free-record list. */
 constexpr size_t kInitialQueueCapacity = 1024;
-
-/** A redistributed bucket keeps at most this many keys of capacity. */
-constexpr size_t kBucketKeepCapacity = 2048;
 
 /** Execution context of the current thread (nested runs unsupported). */
 struct TlsContext
@@ -52,8 +47,8 @@ Shard::Shard(Simulator &sim, int index)
     : sim_(&sim), index_(index), currentOwner_(sim.hostId())
 {
     batch_.reserve(kInitialQueueCapacity);
-    slots_.reserve(kInitialQueueCapacity);
-    freeSlots_.reserve(kInitialQueueCapacity);
+    freeEvents_.reserve(kInitialQueueCapacity);
+    binHint_.fill(kNoBin);
 }
 
 // late_ is a 4-ary min-heap: half the depth of a binary heap, and the
@@ -65,22 +60,24 @@ constexpr size_t kHeapArity = 4;
 void
 Shard::siftUp(size_t i)
 {
-    EventKey key = late_[i];
+    const uint32_t idx = late_[i];
+    const Event &ev = event(idx);
     while (i > 0) {
         size_t parent = (i - 1) / kHeapArity;
-        if (!before(key, late_[parent]))
+        if (!before(ev, event(late_[parent])))
             break;
         late_[i] = late_[parent];
         i = parent;
     }
-    late_[i] = key;
+    late_[i] = idx;
 }
 
 void
 Shard::siftDown(size_t i)
 {
     const size_t n = late_.size();
-    EventKey key = late_[i];
+    const uint32_t idx = late_[i];
+    const Event &ev = event(idx);
     for (;;) {
         size_t first = kHeapArity * i + 1;
         if (first >= n)
@@ -88,120 +85,170 @@ Shard::siftDown(size_t i)
         size_t child = first;
         size_t last = std::min(first + kHeapArity, n);
         for (size_t c = first + 1; c < last; ++c)
-            if (before(late_[c], late_[child]))
+            if (before(event(late_[c]), event(late_[child])))
                 child = c;
-        if (!before(late_[child], key))
+        if (!before(event(late_[child]), ev))
             break;
         late_[i] = late_[child];
         i = child;
     }
-    late_[i] = key;
+    late_[i] = idx;
 }
 
 void
-Shard::pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
-                 EventCallback fn)
+Shard::pastPanic(Cycles at) const
 {
-    WSC_ASSERT(at >= now_, "scheduling into the past (at="
-                               << at << ", now=" << now_ << ")");
-    uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = std::move(fn);
+    panic(strcat("scheduling into the past (at=", at, ", now=", now_, ")"));
+}
+
+uint32_t
+Shard::newEvent(uint64_t ownerCreator, uint64_t seq)
+{
+    uint32_t idx;
+    if (!freeEvents_.empty()) {
+        idx = freeEvents_.back();
+        freeEvents_.pop_back();
     } else {
-        slot = static_cast<uint32_t>(slots_.size());
-        slots_.push_back(std::move(fn));
+        // Default-initialised: each callback's buffer stays untouched
+        // until an event is constructed in it.
+        if (usedEvents_ == chunks_.size() * kChunkSize)
+            chunks_.push_back(
+                std::make_unique_for_overwrite<Event[]>(kChunkSize));
+        idx = usedEvents_++;
     }
-    const EventKey key{at, ownerCreator, seq, slot};
-    // now_ >= base_, so a key is never below the draining cycle.
+    Event &ev = event(idx);
+    ev.ownerCreator = ownerCreator;
+    ev.seq = seq;
+    return idx;
+}
+
+void
+Shard::enqueue(Cycles at, uint32_t idx)
+{
+    // now_ >= base_, so an event is never below the draining cycle.
     if (at == base_) {
-        late_.push_back(key);
+        late_.push_back(idx);
         siftUp(late_.size() - 1);
-    } else {
-        pushLater(key);
+        return;
     }
+    const auto owner = static_cast<uint32_t>(event(idx).ownerCreator >> 32);
+    binAt(at).entries.push_back({owner, idx});
 }
 
-void
-Shard::pushLater(const EventKey &key)
+Shard::Bin &
+Shard::binAt(Cycles at)
 {
-    const int b = std::bit_width(key.at ^ base_) - 1;
-    buckets_[static_cast<size_t>(b)].push_back(key);
-    nonEmpty_ |= uint64_t{1} << b;
+    uint32_t &hint = binHint_[at & (kHintSize - 1)];
+    if (hint != kNoBin && bins_[hint].at == at)
+        return bins_[hint];
+    // A hint collision (live cycles equal modulo kHintSize) or a new
+    // cycle: one bin per live cycle, so look before opening one.
+    for (uint32_t b : binHeap_) {
+        if (bins_[b].at == at) {
+            hint = b;
+            return bins_[b];
+        }
+    }
+    uint32_t b;
+    if (!freeBins_.empty()) {
+        b = freeBins_.back();
+        freeBins_.pop_back();
+    } else {
+        b = static_cast<uint32_t>(bins_.size());
+        bins_.emplace_back();
+    }
+    bins_[b].at = at;
+    binHeap_.push_back(b);
+    std::push_heap(binHeap_.begin(), binHeap_.end(), laterBin());
+    hint = b;
+    return bins_[b];
 }
 
 Cycles
 Shard::minAt() const
 {
-    if (!batch_.empty() || !late_.empty())
+    if (!drainingEmpty())
         return base_;
-    // Every key of a lower bucket is below every key of a higher one.
-    const auto &bucket =
-        buckets_[static_cast<size_t>(std::countr_zero(nonEmpty_))];
-    Cycles m = bucket.front().at;
-    for (const EventKey &key : bucket)
-        m = std::min(m, key.at);
-    return m;
+    return bins_[binHeap_.front()].at;
 }
 
 bool
 Shard::advance(Cycles end)
 {
-    if (nonEmpty_ == 0)
+    if (binHeap_.empty() || bins_[binHeap_.front()].at >= end)
         return false;
-    const Cycles m = minAt();
-    if (m >= end)
-        return false;
-    // Bucket b's keys agree with m above bit b, so each one that is not
-    // at m moves to a lower bucket; the higher buckets stay as they are.
-    const int b = std::countr_zero(nonEmpty_);
-    std::vector<EventKey> &bucket = buckets_[static_cast<size_t>(b)];
-    base_ = m;
-    nonEmpty_ &= ~(uint64_t{1} << b);
-    for (const EventKey &key : bucket) {
-        if (key.at == m)
-            batch_.push_back(key);
-        else
-            pushLater(key);
-    }
-    // A bucket that held a dense horizon shrinks back to the kept
-    // capacity rather than pinning its high-water mark for the run.
-    bucket.clear();
-    if (bucket.capacity() > kBucketKeepCapacity) {
-        std::vector<EventKey> kept;
-        kept.reserve(kBucketKeepCapacity);
-        bucket.swap(kept);
-    }
-    std::sort(batch_.begin(), batch_.end(),
-              [](const EventKey &x, const EventKey &y) {
-                  return before(y, x);
-              });
+    std::pop_heap(binHeap_.begin(), binHeap_.end(), laterBin());
+    const uint32_t b = binHeap_.back();
+    binHeap_.pop_back();
+    Bin &bin = bins_[b];
+    base_ = bin.at;
+    orderBatch(bin.entries);
+    bin.entries.clear();
+    uint32_t &hint = binHint_[bin.at & (kHintSize - 1)];
+    if (hint == b)
+        hint = kNoBin;
+    freeBins_.push_back(b);
     return true;
 }
 
-Shard::EventKey
+void
+Shard::orderBatch(const std::vector<BinEntry> &entries)
+{
+    const size_t n = entries.size();
+    batchHead_ = 0;
+    // The host id lies above every PE id: it takes the last slot.
+    auto slotOf = [this](uint32_t owner) {
+        return std::min(owner - ownerLo_, ownerSpan_ - 1);
+    };
+    if (4 * n < ownerSpan_) {
+        // Few events for many owners (e.g. a diffusion column's handful
+        // per cycle): a comparison sort beats the prefix pass.
+        batch_.assign(entries.begin(), entries.end());
+        std::sort(batch_.begin(), batch_.end(),
+                  [this](const BinEntry &x, const BinEntry &y) {
+                      if (x.owner != y.owner)
+                          return x.owner < y.owner;
+                      return before(event(x.event), event(y.event));
+                  });
+        return;
+    }
+    // Stable counting sort by owner (the prefix pass costs at most 4 per
+    // event), then an insertion pass orders each owner's few events by
+    // (creator, seq).
+    counts_.assign(static_cast<size_t>(ownerSpan_) + 1, 0);
+    for (const BinEntry &e : entries)
+        counts_[slotOf(e.owner) + 1]++;
+    for (size_t s = 1; s < counts_.size(); ++s)
+        counts_[s] += counts_[s - 1];
+    batch_.resize(n);
+    for (const BinEntry &e : entries)
+        batch_[counts_[slotOf(e.owner)]++] = e;
+    for (size_t i = 1; i < n; ++i) {
+        const BinEntry x = batch_[i];
+        size_t j = i;
+        while (j > 0 && batch_[j - 1].owner == x.owner &&
+               before(event(x.event), event(batch_[j - 1].event))) {
+            batch_[j] = batch_[j - 1];
+            --j;
+        }
+        batch_[j] = x;
+    }
+}
+
+uint32_t
 Shard::popDraining()
 {
     if (!late_.empty() &&
-        (batch_.empty() || before(late_.front(), batch_.back()))) {
-        EventKey top = late_.front();
+        (batchHead_ == batch_.size() ||
+         before(event(late_.front()), event(batch_[batchHead_].event)))) {
+        const uint32_t top = late_.front();
         late_.front() = late_.back();
         late_.pop_back();
         if (!late_.empty())
             siftDown(0);
         return top;
     }
-    EventKey top = batch_.back();
-    batch_.pop_back();
-    return top;
-}
-
-void
-Shard::push(uint32_t owner, Cycles at, EventCallback fn)
-{
-    pushKeyed(packKey(owner, currentOwner_), nextSeq_++, at,
-              std::move(fn));
+    return batch_[batchHead_++].event;
 }
 
 void
@@ -215,23 +262,24 @@ Shard::runWindow(Cycles end, uint64_t maxEvents)
         // diagnosis reads the queues as they stand.
         if (processed_ >= maxEvents)
             break;
-        if (batch_.empty() && late_.empty()) {
+        if (drainingEmpty()) {
             if (!advance(end))
                 break;
         } else if (base_ >= end) {
             break;
         }
-        EventKey top = popDraining();
-        now_ = top.at;
-        currentOwner_ = static_cast<uint32_t>(top.ownerCreator >> 32);
+        const uint32_t idx = popDraining();
+        Event &ev = event(idx);
+        now_ = base_;
+        currentOwner_ = static_cast<uint32_t>(ev.ownerCreator >> 32);
         stats_.eventsProcessed++;
         processed_++;
-        // Move the callback out before invoking: the callback may
-        // schedule new events, which can grow (and relocate) the slot
-        // pool while it runs.
-        EventCallback cb = std::move(slots_[top.slot]);
-        freeSlots_.push_back(top.slot);
-        cb();
+        // In place: records never move, and this one is not freed until
+        // its callback returns, so the events it schedules land in other
+        // records.
+        ev.cb();
+        ev.cb.reset();
+        freeEvents_.push_back(idx);
     }
     currentOwner_ = sim_->hostId();
 }
@@ -265,6 +313,13 @@ Simulator::Simulator(const ArchParams &params, int width, int height,
     for (int x = 0; x < width; ++x)
         stripOfCol_[static_cast<size_t>(x)] = static_cast<int>(
             (static_cast<int64_t>(x) * numShards) / width);
+    // Strip s owns the PE ids [ownerLo_, ownerLo_ + ownerSpan_ - 1).
+    for (int x = width - 1; x >= 0; --x) {
+        Shard &shard = *shards_[static_cast<size_t>(
+            stripOfCol_[static_cast<size_t>(x)])];
+        shard.ownerSpan_ += static_cast<uint32_t>(height);
+        shard.ownerLo_ = peIndex(x, 0);
+    }
 
     pes_.reserve(numPes_);
     for (int x = 0; x < width; ++x)
@@ -307,12 +362,7 @@ Simulator::~Simulator()
     // (cross-shard segments, stashed deliveries): drop every queued
     // callback while all pools are still alive.
     for (auto &shard : shards_) {
-        shard->batch_.clear();
-        shard->late_.clear();
-        for (auto &bucket : shard->buckets_)
-            bucket.clear();
-        shard->slots_.clear();
-        shard->freeSlots_.clear();
+        shard->chunks_.clear();
         for (auto &lane : shard->outbox_)
             lane.clear();
     }
@@ -396,41 +446,17 @@ Simulator::currentShard() const
 }
 
 void
-Simulator::schedule(Cycles at, EventCallback fn)
+Simulator::mail(Shard &from, Shard &target, Cycles at,
+                uint64_t ownerCreator, EventCallback fn)
 {
-    if (tlsCur.sim == this && tlsCur.shard) {
-        Shard &cur = *tlsCur.shard;
-        // Generic events stay on the scheduling shard, owned by the
-        // creating event's owner (FIFO per creator at equal cycles).
-        cur.push(cur.currentOwner_, at, std::move(fn));
-        return;
-    }
-    shards_.front()->push(hostId(), at, std::move(fn));
-}
-
-void
-Simulator::scheduleOnPe(uint32_t owner, Cycles at, EventCallback fn,
-                        Shard *from)
-{
-    Shard &target = shardOfPe(owner);
-    if (from == nullptr) {
-        target.pushKeyed(Shard::packKey(owner, hostId()),
-                         shards_.front()->nextSeq_++, at, std::move(fn));
-        return;
-    }
-    uint64_t key = Shard::packKey(owner, from->currentOwner_);
-    if (from == &target) {
-        target.pushKeyed(key, from->nextSeq_++, at, std::move(fn));
-        return;
-    }
-    auto &lane = from->outbox_[static_cast<size_t>(target.index())];
+    auto &lane = from.outbox_[static_cast<size_t>(target.index())];
     // Lanes are cleared (capacity kept) when drained, so growth only
     // happens while a lane reaches its high-water mark — telemetry
     // asserts steady-state windows stay allocation-free.
     if (lane.size() == lane.capacity())
-        from->outboxReallocs_++;
-    lane.push_back(Shard::MailEntry{at, key, from->nextSeq_++,
-                                    std::move(fn)});
+        from.outboxReallocs_++;
+    lane.push_back(
+        Shard::MailEntry{at, ownerCreator, from.nextSeq_++, std::move(fn)});
 }
 
 Cycles
@@ -623,7 +649,7 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
         d.eventsProcessed += shard->processed_;
         ShardQueueInfo q;
         q.shard = shard->index();
-        shard->forEachQueued([&q](const Shard::EventKey &) { q.depth++; });
+        shard->forEachQueuedOwner([&q](uint32_t) { q.depth++; });
         q.nextAt = q.depth > 0 ? shard->minAt() : 0;
         for (const auto &lane : shard->outbox_)
             q.outboxPending += lane.size();
@@ -651,9 +677,8 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
     // Busiest PEs by events still owned in the queues/outboxes.
     std::unordered_map<uint32_t, size_t> ownerCounts;
     for (const auto &shard : shards_) {
-        shard->forEachQueued([&ownerCounts](const Shard::EventKey &key) {
-            ownerCounts[static_cast<uint32_t>(key.ownerCreator >> 32)]++;
-        });
+        shard->forEachQueuedOwner(
+            [&ownerCounts](uint32_t owner) { ownerCounts[owner]++; });
         for (const auto &lane : shard->outbox_)
             for (const Shard::MailEntry &entry : lane)
                 ownerCounts[static_cast<uint32_t>(entry.ownerCreator >>

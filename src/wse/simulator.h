@@ -5,10 +5,10 @@
  *
  * The PE grid is partitioned into min(SimOptions::threads, width)
  * balanced column strips. PE indices are x-major, so each strip owns
- * one contiguous range of dense PE ids. Each shard owns its own radix
- * event queue (cycle buckets, one sort per simulated cycle), callback
- * slot pool, payload ring and statistics, so the hot schedule/dispatch
- * paths are entirely shard-local and lock-free.
+ * one contiguous range of dense PE ids. Each shard owns its own event
+ * queue (one bin per pending cycle, ordered once when the cycle
+ * drains), event records, payload ring and statistics, so the hot
+ * schedule/dispatch paths are entirely shard-local and lock-free.
  *
  * Every run uses one loop of conservative lock-step windows: every
  * event that crosses a strip boundary (a fabric stream segment handed
@@ -31,9 +31,10 @@
  * run is cycle-identical and SimStats-identical to the threads=1 run —
  * pinned by the `sharded` test suite and the golden cycle counts.
  *
- * The schedule/run path is allocation-free in steady state: an event is
- * a POD key in a reused queue vector, and its callback lives in a
- * small-buffer EventCallback slot recycled through a free list.
+ * The schedule/run path is allocation-free in steady state: each
+ * callback is constructed once, in place, in an event record that
+ * never moves, and is invoked there; records and cycle bins are
+ * recycled.
  *
  * Timing model (docs/architecture.md §3, "Timing model"): each PE has
  * a single work timeline on which task execution, DSD compute and ramp
@@ -192,16 +193,33 @@ class EventCallback
                   !std::is_same_v<std::decay_t<F>, EventCallback>>>
     EventCallback(F &&fn) // NOLINT: implicit by design (schedule sites)
     {
+        emplace(std::forward<F>(fn));
+    }
+
+    /** Replace the held callable with `fn`, constructed in place (an
+     *  EventCallback rvalue is moved in). */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
         using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= kInlineSize,
-                      "event callbacks must fit EventCallback::kInlineSize");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "event callbacks must not be over-aligned");
-        // Slot-pool relocation is a noexcept path.
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "event callbacks must be nothrow-movable");
-        new (storage_) Fn(std::forward<F>(fn));
-        ops_ = &InlineOps<Fn>::ops;
+        if constexpr (std::is_same_v<Fn, EventCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "an EventCallback can only be moved in");
+            *this = std::move(fn);
+        } else {
+            static_assert(sizeof(Fn) <= kInlineSize,
+                          "event callbacks must fit "
+                          "EventCallback::kInlineSize");
+            static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                          "event callbacks must not be over-aligned");
+            // Moves between cross-shard mailboxes are a noexcept path.
+            static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                          "event callbacks must be nothrow-movable");
+            reset();
+            new (storage_) Fn(std::forward<F>(fn));
+            ops_ = &InlineOps<Fn>::ops;
+        }
     }
 
     EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
@@ -315,9 +333,16 @@ class Shard
     /**
      * Schedule an event owned by `owner` (a PE of this shard, or the
      * host id) at absolute cycle `at` (>= now). The creator recorded in
-     * the ordering key is the currently executing event's owner.
+     * the ordering key is the currently executing event's owner. `fn`
+     * is constructed in place in the event's record.
      */
-    void push(uint32_t owner, Cycles at, EventCallback fn);
+    template <typename F>
+    void
+    push(uint32_t owner, Cycles at, F &&fn)
+    {
+        pushKeyed(packKey(owner, currentOwner_), nextSeq_++, at,
+                  std::forward<F>(fn));
+    }
 
     int index() const { return index_; }
 
@@ -325,23 +350,51 @@ class Shard
     friend class Simulator;
 
     /**
-     * Queue entry: POD, so bucket moves, sorts and sifts copy 32 bytes,
-     * never the callback. Ordered by (at, owner, creator, seq): owner
-     * and creator are packed into one word (owner in the high half) so
-     * the deterministic tie-break is two integer compares. `seq` is the
-     * creating shard's monotone counter — only compared between events
-     * of the same creator, whose creations are totally ordered within
-     * one shard, so the key is independent of the shard count. The
-     * queue's buckets read only `at`; before() orders each cycle.
-     * `slot` indexes the callback slot pool.
+     * One scheduled event. Ordered by (cycle, owner, creator, seq):
+     * owner and creator are packed into one word (owner in the high
+     * half) so the deterministic tie-break is two integer compares.
+     * `seq` is the creating shard's monotone counter — only compared
+     * between events of the same creator, whose creations are totally
+     * ordered within one shard, so the key is independent of the shard
+     * count. The cycle is the bin the record is queued in. Records live
+     * in fixed chunks and never move: the callback is constructed here
+     * once and invoked in place.
      */
-    struct EventKey
+    struct Event
     {
-        Cycles at;
-        uint64_t ownerCreator;
-        uint64_t seq;
-        uint32_t slot;
+        uint64_t ownerCreator = 0;
+        uint64_t seq = 0;
+        EventCallback cb;
     };
+
+    /** Records per chunk of the event store. */
+    static constexpr uint32_t kChunkShift = 10;
+    static constexpr uint32_t kChunkSize = uint32_t{1} << kChunkShift;
+
+    /** A queued event: its owner (the counting-sort key) and record. */
+    struct BinEntry
+    {
+        uint32_t owner;
+        uint32_t event;
+    };
+
+    /** The events of one pending cycle, in push order. */
+    struct Bin
+    {
+        Cycles at = 0;
+        std::vector<BinEntry> entries;
+    };
+
+    static constexpr uint32_t kNoBin = UINT32_MAX;
+
+    /** The heap order of binHeap_: the least cycle on top. */
+    auto
+    laterBin() const
+    {
+        return [this](uint32_t a, uint32_t b) {
+            return bins_[a].at > bins_[b].at;
+        };
+    }
 
     /** A cross-shard event in flight (drained at window barriers). */
     struct MailEntry
@@ -358,48 +411,77 @@ class Shard
         return (static_cast<uint64_t>(owner) << 32) | creator;
     }
 
+    /** The same-cycle order: (owner, creator, seq). */
     static bool
-    before(const EventKey &a, const EventKey &b)
+    before(const Event &a, const Event &b)
     {
-        if (a.at != b.at)
-            return a.at < b.at;
         if (a.ownerCreator != b.ownerCreator)
             return a.ownerCreator < b.ownerCreator;
         return a.seq < b.seq;
     }
 
-    void pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
-                   EventCallback fn);
+    Event &
+    event(uint32_t idx)
+    {
+        return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
+    }
+    const Event &
+    event(uint32_t idx) const
+    {
+        return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
+    }
+
+    template <typename F>
+    void
+    pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at, F &&fn)
+    {
+        if (at < now_)
+            pastPanic(at);
+        const uint32_t idx = newEvent(ownerCreator, seq);
+        event(idx).cb.emplace(std::forward<F>(fn));
+        enqueue(at, idx);
+    }
+
+    /** Panics: `at` lies before now_. */
+    [[noreturn]] void pastPanic(Cycles at) const;
+    /** A free record holding the key (its callback is empty). */
+    uint32_t newEvent(uint64_t ownerCreator, uint64_t seq);
+    /** Queue a filled record at cycle `at`. */
+    void enqueue(Cycles at, uint32_t idx);
+    /** The live bin of cycle `at` (> base_), opened if there is none. */
+    Bin &binAt(Cycles at);
     /** Sift within late_, the 4-ary heap of draining-cycle pushes. */
     void siftUp(size_t i);
     void siftDown(size_t i);
     bool
-    queueEmpty() const
+    drainingEmpty() const
     {
-        return batch_.empty() && late_.empty() && nonEmpty_ == 0;
+        return batchHead_ == batch_.size() && late_.empty();
     }
+    bool queueEmpty() const { return drainingEmpty() && binHeap_.empty(); }
     /** Smallest queued cycle; the queue must not be empty. */
     Cycles minAt() const;
-    /** File a key with at > base_ into its bucket. */
-    void pushLater(const EventKey &key);
-    /** Make the next cycle below `end` the draining cycle: false (and
-     *  nothing moved) when no queued key lies below `end`. Requires an
-     *  empty draining cycle. */
+    /** Make the least pending cycle below `end` the draining cycle:
+     *  false (and nothing moved) when no bin lies below `end`. Requires
+     *  an empty draining cycle. */
     bool advance(Cycles end);
-    /** Remove and return the least key of the draining cycle. */
-    EventKey popDraining();
-    /** Visit every queued key (diagnosis only). */
+    /** Order a drained bin's entries into batch_. */
+    void orderBatch(const std::vector<BinEntry> &entries);
+    /** Remove and return the record of the least event of the draining
+     *  cycle. */
+    uint32_t popDraining();
+    /** Visit the owner of every queued event (diagnosis only). */
     template <typename F>
     void
-    forEachQueued(F &&visit) const
+    forEachQueuedOwner(F &&visit) const
     {
-        for (const EventKey &key : batch_)
-            visit(key);
-        for (const EventKey &key : late_)
-            visit(key);
-        for (const std::vector<EventKey> &bucket : buckets_)
-            for (const EventKey &key : bucket)
-                visit(key);
+        for (size_t i = batchHead_; i < batch_.size(); ++i)
+            visit(batch_[i].owner);
+        for (uint32_t idx : late_)
+            visit(static_cast<uint32_t>(event(idx).ownerCreator >> 32));
+        for (uint32_t b : binHeap_)
+            for (const BinEntry &entry : bins_[b].entries)
+                visit(entry.owner);
     }
     /** Execute events with at < end; returns early (leaving events
      *  queued) once the budget is spent — the caller diagnoses. */
@@ -416,23 +498,39 @@ class Shard
     /** Owner of the event currently executing (host id when idle);
      *  recorded as the creator of events it schedules. */
     uint32_t currentOwner_;
+    /** This shard's PE ids are [ownerLo_, ownerLo_ + ownerSpan_ - 1);
+     *  the last counting-sort slot is the host's. */
+    uint32_t ownerLo_ = 0;
+    uint32_t ownerSpan_ = 1;
     /**
-     * Radix queue on the deterministic key (docs/architecture.md §4,
-     * "The event queue"). base_ is the draining cycle (<= now_). Its
-     * keys are batch_, sorted descending so the least is at the back,
-     * plus late_, a 4-ary min-heap of keys pushed at base_ after the
-     * batch was formed. A key with at > base_ waits unsorted in
-     * buckets_[bit_width(at ^ base_) - 1]; bit b of nonEmpty_ is set
-     * while buckets_[b] holds keys.
+     * Event records, kChunkSize per chunk (chunks never move), recycled
+     * through freeEvents_; usedEvents_ records have ever been handed
+     * out.
+     */
+    std::vector<std::unique_ptr<Event[]>> chunks_;
+    std::vector<uint32_t> freeEvents_;
+    uint32_t usedEvents_ = 0;
+    /**
+     * The queue (docs/architecture.md §4, "The event queue"). base_ is
+     * the draining cycle (<= now_). Its events are batch_[batchHead_..],
+     * in key order, plus late_, a 4-ary min-heap of records pushed at
+     * base_ after the batch was ordered. An event with at > base_ waits
+     * in push order in the bin of its cycle. binHeap_ is a binary
+     * min-heap (on Bin::at) of the live bins' indices into bins_;
+     * freeBins_ are drained bins kept with their capacity. binHint_
+     * maps a cycle's low bits to the live bin last found for them.
      */
     Cycles base_ = 0;
-    std::vector<EventKey> batch_;
-    std::vector<EventKey> late_;
-    std::array<std::vector<EventKey>, 64> buckets_;
-    uint64_t nonEmpty_ = 0;
-    /** Callback slot pool; slots are recycled through freeSlots_. */
-    std::vector<EventCallback> slots_;
-    std::vector<uint32_t> freeSlots_;
+    std::vector<BinEntry> batch_;
+    size_t batchHead_ = 0;
+    std::vector<uint32_t> late_;
+    std::vector<Bin> bins_;
+    std::vector<uint32_t> binHeap_;
+    std::vector<uint32_t> freeBins_;
+    static constexpr size_t kHintSize = 1024;
+    std::array<uint32_t, kHintSize> binHint_;
+    /** Counting-sort slot counts (ownerSpan_ + 1), reused per cycle. */
+    std::vector<uint32_t> counts_;
     /** Monotone creation counter (per-creator sequence source). */
     uint64_t nextSeq_ = 0;
     /** Outgoing cross-shard events, one lane per destination shard. */
@@ -500,11 +598,22 @@ class Simulator
 
     /**
      * Schedule `fn` at absolute cycle `at` (>= now), without heap
-     * allocation (EventCallback stores it in place). Host-side calls
-     * land on shard 0; calls from inside an event run on the scheduling
-     * event's shard (FIFO per creator at equal cycles).
+     * allocation (`fn` is constructed in place in an event record).
+     * Host-side calls land on shard 0; calls from inside an event run
+     * on the scheduling event's shard (FIFO per creator at equal
+     * cycles).
      */
-    void schedule(Cycles at, EventCallback fn);
+    template <typename F>
+    void
+    schedule(Cycles at, F &&fn)
+    {
+        // Generic events stay on the scheduling shard, owned by the
+        // creating event's owner (FIFO per creator at equal cycles).
+        if (Shard *cur = currentShard())
+            cur->push(cur->currentOwner_, at, std::forward<F>(fn));
+        else
+            shards_.front()->push(hostId(), at, std::forward<F>(fn));
+    }
 
     /**
      * Run until the event queue drains and classify how it ended:
@@ -549,12 +658,27 @@ class Simulator
      * Schedule an event owned by `owner` from the execution context of
      * `from` (nullptr for the host). Same-shard events push directly;
      * cross-shard events go through `from`'s outbox and join the target
-     * heap at the next window barrier. Host-context events draw their
+     * queue at the next window barrier. Host-context events draw their
      * sequence from one shared counter, so their relative order is
      * thread-count independent.
      */
-    void scheduleOnPe(uint32_t owner, Cycles at, EventCallback fn,
-                      Shard *from);
+    template <typename F>
+    void
+    scheduleOnPe(uint32_t owner, Cycles at, F &&fn, Shard *from)
+    {
+        Shard &target = shardOfPe(owner);
+        if (from == nullptr) {
+            target.pushKeyed(Shard::packKey(owner, hostId()),
+                             shards_.front()->nextSeq_++, at,
+                             std::forward<F>(fn));
+            return;
+        }
+        const uint64_t key = Shard::packKey(owner, from->currentOwner_);
+        if (from == &target)
+            target.pushKeyed(key, from->nextSeq_++, at, std::forward<F>(fn));
+        else
+            mail(*from, target, at, key, EventCallback(std::forward<F>(fn)));
+    }
     /** The shard executing on this thread, or nullptr on the host.
      *  THE value to pass as `from`: using a PE's home shard instead
      *  would draw host-event sequence numbers from per-shard counters
@@ -569,6 +693,9 @@ class Simulator
      *  the run stopped on the event budget with events still queued
      *  (classified by runWithReport). */
     bool runWindows(uint64_t maxEvents);
+    /** Queue a cross-shard event in `from`'s outbox lane to `target`. */
+    void mail(Shard &from, Shard &target, Cycles at, uint64_t ownerCreator,
+              EventCallback fn);
     Cycles finishRun();
 
     /** Push the fault plan's PE thresholds / fabric tables out. */

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <deque>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -317,6 +320,202 @@ TEST(SimulatorTest, QueuePopsTheLeastKeyAcrossCycleBoundariesAndRuns)
               wse::SimOutcome::Completed);
     EXPECT_TRUE(seq.queued().empty());
     EXPECT_EQ(seq.misorders(), 0u);
+}
+
+/** Default options at `threads` worker threads. */
+wse::SimOptions
+withThreads(int threads)
+{
+    wse::SimOptions options;
+    options.threads = threads;
+    return options;
+}
+
+/**
+ * Schedules PE-owned events through scheduleOnPe and logs the key of
+ * each one that runs: (cycle, owner, creator, per-creator creation
+ * index). An event may carry a follow-up, called inside it with its own
+ * key, so the events the follow-up adds are created by that owner.
+ */
+class KeyLog
+{
+  public:
+    using Key = QueueModel::Key;
+    using Then = std::function<void(const Key &)>;
+
+    static constexpr int kWidth = 8;
+    static constexpr int kHeight = 2;
+    /** PEs per column strip of a threads=4 run. */
+    static constexpr uint32_t kStrip = 2 * kHeight;
+
+    explicit KeyLog(int threads)
+        : sim_(ArchParams::wse3(), kWidth, kHeight, withThreads(threads)),
+          created_(sim_.hostId() + 1), ran_(sim_.hostId() + 1)
+    {
+    }
+
+    Simulator &sim() { return sim_; }
+    uint32_t host() const { return sim_.hostId(); }
+    /** Executed keys, per owner (host last). */
+    const std::vector<std::vector<Key>> &ran() const { return ran_; }
+    /** Executed keys in run order (one shard only). */
+    const std::vector<Key> &order() const { return order_; }
+
+    /** Keep a follow-up alive for the log's lifetime. */
+    const Then *
+    keep(Then then)
+    {
+        thens_.push_back(std::move(then));
+        return &thens_.back();
+    }
+
+    /** Add an event owned by `owner` at `at`, created by `creator` (the
+     *  host outside a run, else the running event's owner). */
+    void
+    add(uint32_t creator, uint32_t owner, Cycles at,
+        const Then *then = nullptr)
+    {
+        const Key key{at, owner, creator, created_[creator]++};
+        sim_.scheduleOnPe(
+            owner, at,
+            [this, key, then] {
+                EXPECT_EQ(sim_.now(), key.at);
+                ran_[key.owner].push_back(key);
+                if (sim_.shardCount() == 1)
+                    order_.push_back(key);
+                if (then)
+                    (*then)(key);
+            },
+            sim_.currentShard());
+    }
+
+    /** Every owner ran its keys in key order (and, with one shard, the
+     *  whole run did). */
+    void
+    expectKeyOrder() const
+    {
+        auto ascending = [](const std::vector<Key> &keys) {
+            return std::adjacent_find(keys.begin(), keys.end(),
+                                      [](const Key &x, const Key &y) {
+                                          return !(x < y);
+                                      }) == keys.end();
+        };
+        for (const std::vector<Key> &keys : ran_)
+            EXPECT_TRUE(ascending(keys));
+        EXPECT_TRUE(ascending(order_));
+    }
+
+  private:
+    Simulator sim_;
+    /** Creations per creator (written only on the creator's shard). */
+    std::vector<uint64_t> created_;
+    std::vector<std::vector<Key>> ran_;
+    std::vector<Key> order_;
+    std::deque<Then> thens_;
+};
+
+/** Runs `scenario` on one shard and on four: both must run every key
+ *  in order, and every owner the same keys. */
+template <typename Scenario>
+void
+expectKeyOrderOnOneAndFourShards(Scenario scenario, size_t events)
+{
+    KeyLog seq(1);
+    KeyLog par(4);
+    ASSERT_EQ(par.sim().shardCount(), 4);
+    scenario(seq);
+    scenario(par);
+    EXPECT_EQ(seq.sim().runWithReport().outcome, wse::SimOutcome::Completed);
+    EXPECT_EQ(par.sim().runWithReport().outcome, wse::SimOutcome::Completed);
+    EXPECT_EQ(seq.order().size(), events);
+    seq.expectKeyOrder();
+    par.expectKeyOrder();
+    EXPECT_EQ(seq.ran(), par.ran());
+    EXPECT_EQ(seq.sim().stats(), par.sim().stats());
+}
+
+TEST(SimulatorTest, OneOwnersSameCycleEventsRunInCreatorOrder)
+{
+    // Owner base+1 of every strip gets a host-created event at cycle
+    // 100, then one from creator base+3 (pushed at cycle 10) and one
+    // from the lower creator base (pushed at cycle 20): push order is
+    // the reverse of key order. Every other PE and the host get an
+    // event at 100 too, so the cycle is large enough for the owner
+    // counting sort on one shard and on four.
+    constexpr Cycles kAt = 100;
+    expectKeyOrderOnOneAndFourShards(
+        [](KeyLog &log) {
+            const KeyLog::Then *toBelow =
+                log.keep([&log](const KeyLog::Key &k) {
+                    log.add(k.owner, k.owner - 2, kAt);
+                });
+            const KeyLog::Then *toAbove =
+                log.keep([&log](const KeyLog::Key &k) {
+                    log.add(k.owner, k.owner + 1, kAt);
+                });
+            for (uint32_t owner = 0; owner <= log.host(); ++owner)
+                log.add(log.host(), owner, kAt);
+            for (uint32_t base = 0; base < log.host();
+                 base += KeyLog::kStrip) {
+                log.add(log.host(), base + 3, 10, toBelow);
+                log.add(log.host(), base, 20, toAbove);
+            }
+        },
+        17 + 4 * 4);
+}
+
+TEST(SimulatorTest, CyclesThatShareALowBitPatternStayOneCycle)
+{
+    // Three live cycles 1024 apart (the queue's cycle lookup is direct
+    // mapped on the low bits), with pushes alternating between them:
+    // from the host in descending owner order, then from every PE,
+    // higher creators first (they run at earlier cycles), each to its
+    // own strip. Each cycle must still run as one ordered batch.
+    constexpr Cycles kAt[] = {5000, 5000 + 1024, 5000 + 3 * 1024};
+    expectKeyOrderOnOneAndFourShards(
+        [&kAt](KeyLog &log) {
+            const KeyLog::Then *spread =
+                log.keep([&log, &kAt](const KeyLog::Key &k) {
+                    const uint32_t base = k.owner / KeyLog::kStrip *
+                                          KeyLog::kStrip;
+                    for (uint32_t i = 0; i < KeyLog::kStrip; ++i)
+                        for (Cycles at : kAt)
+                            log.add(k.owner, base + (k.owner + i) %
+                                                        KeyLog::kStrip,
+                                    at);
+                });
+            for (uint32_t owner = log.host(); owner-- > 0;)
+                for (Cycles at : kAt)
+                    log.add(log.host(), owner, at);
+            for (uint32_t pe = 0; pe < log.host(); ++pe)
+                log.add(log.host(), pe, 100 + log.host() - pe, spread);
+        },
+        16 * 3 + 16 * (1 + 4 * 3));
+}
+
+TEST(SimulatorTest, EventRecordsStayPutWhileTheirCallbackSchedules)
+{
+    // One callback schedules thousands of events, so the event store
+    // grows by several record chunks while the callback runs from its
+    // own record; its captures must stay intact (ASan checks that the
+    // record did not move).
+    for (int threads : {1, 4}) {
+        Simulator sim(ArchParams::wse3(), 8, 2, withThreads(threads));
+        const std::array<uint64_t, 4> magic = {0x5eed, 0xbeef, 0xf00d, 42};
+        uint64_t ran = 0;
+        uint64_t checked = 0;
+        sim.schedule(1, [&sim, &ran, &checked, magic] {
+            for (int i = 0; i < 3000; ++i)
+                sim.schedule(2 + i % 3, [&ran] { ran++; });
+            EXPECT_EQ(magic, (std::array<uint64_t, 4>{0x5eed, 0xbeef,
+                                                      0xf00d, 42}));
+            checked = magic[0] + magic[3];
+        });
+        EXPECT_EQ(sim.runWithReport().outcome, wse::SimOutcome::Completed);
+        EXPECT_EQ(ran, 3000u);
+        EXPECT_EQ(checked, 0x5eedu + 42);
+        EXPECT_EQ(sim.stats().eventsProcessed, 3001u);
+    }
 }
 
 TEST(SimulatorTest, SchedulingIntoThePastPanics)
